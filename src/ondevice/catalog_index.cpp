@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <sstream>
 
 #include "core/check.h"
 #include "core/rng.h"
@@ -14,34 +13,20 @@ namespace memcom {
 
 namespace {
 
-// Section prefix constants — the v4 analogue of the plan section's.
-constexpr std::uint32_t kIndexMagic = 0x58444943;  // "CIDX" little-endian
-constexpr std::uint32_t kIndexFormatVersion = 1;
-constexpr std::uint32_t kIndexEndianCheck = 0x01020304;
 // Centroids were built from scalar-dequantized rows, so one serialized
 // index serves every kernel dispatch family.
-constexpr std::uint32_t kIndexFlagScalarBuilt = 1u << 0;
-constexpr std::size_t kIndexAlignment = 64;
-// Smallest decodable section: 16-byte prefix + trailing checksum.
-constexpr std::size_t kIndexMinBytes = 4 * sizeof(std::uint32_t) + 8;
-// Structural header fields all live well under this; regions may lie
-// beyond (they are addressed by offset, not parsed from the stream).
-constexpr std::size_t kIndexHeaderCap = std::size_t{1} << 16;
+constexpr SectionKind kIndexSection = {
+    0x58444943U,  // "CIDX" little-endian
+    1,            // format version
+    1U << 0,      // flag: built from scalar dequantization
+    "catalog index",
+    "catalog index not built from scalar dequantization",
+    "region",
+};
 // k-means trains on at most clusters * kTrainRowsPerCluster sampled rows
 // (the final assignment pass still covers every item) so build time stays
 // bounded at bench scale.
 constexpr Index kTrainRowsPerCluster = 32;
-
-std::size_t align_up(std::size_t value, std::size_t alignment) {
-  return (value + alignment - 1) / alignment * alignment;
-}
-
-void write_u32_array(std::ostream& os, const std::uint32_t* data,
-                     std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    write_u32(os, data[i]);
-  }
-}
 
 const TensorEntry* find_entry(const MmapModel& model, const std::string& name) {
   for (std::size_t i = 0; i < model.entry_count(); ++i) {
@@ -53,22 +38,93 @@ const TensorEntry* find_entry(const MmapModel& model, const std::string& name) {
   return nullptr;
 }
 
+
+// The index's own header and its agreement with the file's output catalog;
+// the frame was checked by the reader.
+std::string parse_catalog_index(SectionReader& reader, const MmapModel& model,
+                                CatalogIndex& index) {
+  std::istream& is = reader.header();
+  index.model_name = read_string(is);
+  index.model_version = read_u64(is);
+  index.items = read_i64(is);
+  index.dim = read_i64(is);
+  index.clusters = read_i64(is);
+  index.seed = read_u64(is);
+  index.iterations = read_i64(is);
+  const SectionRegion cent = reader.read_region();
+  const SectionRegion perm = reader.read_region();
+  const SectionRegion offs = reader.read_region();
+
+  // Identity first: a section from a different model refresh is stale no
+  // matter how well-formed it is.
+  const std::string file_name =
+      model.has_model_identity() ? model.model_name() : "";
+  const std::uint64_t file_version =
+      model.has_model_identity() ? model.model_version() : 0;
+  if (index.model_name != file_name) {
+    return "catalog index model_name skew (index '" + index.model_name +
+           "' vs file '" + file_name + "')";
+  }
+  if (index.model_version != file_version) {
+    return "catalog index model_version skew (index " +
+           std::to_string(index.model_version) + " vs file " +
+           std::to_string(file_version) + ")";
+  }
+
+  // Geometry must agree with the file's own output catalog.
+  const TensorEntry* weight = find_entry(model, "out.weight");
+  const TensorEntry* bias = find_entry(model, "out.bias");
+  if (weight == nullptr || bias == nullptr || weight->shape.size() != 2) {
+    return "catalog index for a model without an output catalog";
+  }
+  if (index.items != weight->shape[1] || index.dim != weight->shape[0] + 1) {
+    return "catalog index catalog shape skew";
+  }
+  // Hostile declared cluster count: bound it BEFORE any arithmetic that
+  // could overflow or size an allocation from it.
+  if (index.clusters < 1 || index.clusters > index.items) {
+    return "catalog index cluster count out of range";
+  }
+  if (index.iterations < 0) {
+    return "catalog index header fields out of range";
+  }
+  if (cent.count != static_cast<std::uint64_t>(index.clusters) *
+                        static_cast<std::uint64_t>(index.dim) ||
+      perm.count != static_cast<std::uint64_t>(index.items) ||
+      offs.count != static_cast<std::uint64_t>(index.clusters) + 1) {
+    return "catalog index region counts inconsistent";
+  }
+  if (!reader.view(cent, index.centroids) || !reader.view(perm, index.perm) ||
+      !reader.view(offs, index.offsets)) {
+    return reader.error();
+  }
+
+  // Offsets must be a non-decreasing prefix chain covering [0, items].
+  if (index.offsets[0] != 0 ||
+      index.offsets[static_cast<std::size_t>(index.clusters)] !=
+          static_cast<std::uint32_t>(index.items)) {
+    return "catalog index cluster offsets malformed";
+  }
+  for (Index c = 0; c < index.clusters; ++c) {
+    if (index.offsets[static_cast<std::size_t>(c)] >
+        index.offsets[static_cast<std::size_t>(c) + 1]) {
+      return "catalog index cluster offsets malformed";
+    }
+  }
+  // The id table must be an exact permutation of [0, items): a pruned scan
+  // over anything else would silently drop or double-score items.
+  std::vector<char> seen(static_cast<std::size_t>(index.items), 0);
+  for (std::size_t i = 0; i < index.perm.size(); ++i) {
+    const std::uint32_t id = index.perm[i];
+    if (id >= static_cast<std::uint32_t>(index.items) || seen[id]) {
+      return "catalog index id table is not a permutation";
+    }
+    seen[id] = 1;
+  }
+  index.zero_copy = true;
+  return "";
+}
 }  // namespace
-
-IdBuffer IdBuffer::owned(std::vector<std::uint32_t> values) {
-  IdBuffer b;
-  b.storage_ = std::move(values);
-  b.data_ = b.storage_.data();
-  b.size_ = b.storage_.size();
-  return b;
-}
-
-IdBuffer IdBuffer::view(const std::uint32_t* data, std::size_t count) {
-  IdBuffer b;
-  b.data_ = data;
-  b.size_ = count;
-  return b;
-}
 
 Index default_catalog_clusters(Index items) {
   check(items > 0, "default_catalog_clusters: empty catalog");
@@ -350,234 +406,35 @@ std::vector<ScoredId> PrunedCatalogScorer::top_k(const float* query, Index k,
 std::vector<std::uint8_t> serialize_catalog_index(const CatalogIndex& index) {
   check(index.items > 0 && index.dim > 0 && index.clusters > 0,
         "serialize_catalog_index: empty index");
-  const std::size_t cent_count = index.centroids.size();
-  const std::size_t perm_count = index.perm.size();
-  const std::size_t offs_count = index.offsets.size();
-  check(cent_count == static_cast<std::size_t>(index.clusters) *
-                          static_cast<std::size_t>(index.dim) &&
-            perm_count == static_cast<std::size_t>(index.items) &&
-            offs_count == static_cast<std::size_t>(index.clusters) + 1,
+  check(index.centroids.size() == static_cast<std::size_t>(index.clusters) *
+                                      static_cast<std::size_t>(index.dim) &&
+            index.perm.size() == static_cast<std::size_t>(index.items) &&
+            index.offsets.size() ==
+                static_cast<std::size_t>(index.clusters) + 1,
         "serialize_catalog_index: inconsistent buffers");
-
-  auto emit_header = [&](std::ostream& os, std::uint64_t cent_off,
-                         std::uint64_t perm_off, std::uint64_t offs_off) {
-    write_u32(os, kIndexMagic);
-    write_u32(os, kIndexFormatVersion);
-    write_u32(os, kIndexEndianCheck);
-    write_u32(os, kIndexFlagScalarBuilt);
-    write_string(os, index.model_name);
-    write_u64(os, index.model_version);
-    write_i64(os, index.items);
-    write_i64(os, index.dim);
-    write_i64(os, index.clusters);
-    write_u64(os, index.seed);
-    write_i64(os, index.iterations);
-    write_u64(os, cent_count);
-    write_u64(os, cent_off);
-    write_u64(os, perm_count);
-    write_u64(os, perm_off);
-    write_u64(os, offs_count);
-    write_u64(os, offs_off);
-  };
-
-  // Pass 1: probe the header size with zeroed offsets (same length — all
-  // offset fields are fixed-width u64).
-  std::ostringstream probe;
-  emit_header(probe, 0, 0, 0);
-  const std::size_t header_size = probe.str().size();
-
-  std::size_t cursor = align_up(header_size, kIndexAlignment);
-  const std::uint64_t cent_off = cursor;
-  cursor = align_up(cursor + cent_count * sizeof(float), kIndexAlignment);
-  const std::uint64_t perm_off = cursor;
-  cursor = align_up(cursor + perm_count * sizeof(std::uint32_t),
-                    kIndexAlignment);
-  const std::uint64_t offs_off = cursor;
-  cursor += offs_count * sizeof(std::uint32_t);
-
-  std::ostringstream body;
-  emit_header(body, cent_off, perm_off, offs_off);
-  auto pad_to = [&](std::uint64_t target) {
-    std::string s = body.str();
-    check(s.size() <= target, "serialize_catalog_index: layout overflow");
-    body.write(std::string(static_cast<std::size_t>(target) - s.size(), '\0')
-                   .data(),
-               static_cast<std::streamsize>(target - s.size()));
-  };
-  pad_to(cent_off);
-  write_f32_array(body, index.centroids.data(), cent_count);
-  pad_to(perm_off);
-  write_u32_array(body, index.perm.data(), perm_count);
-  pad_to(offs_off);
-  write_u32_array(body, index.offsets.data(), offs_count);
-
-  const std::string payload = body.str();
-  std::vector<std::uint8_t> bytes(payload.begin(), payload.end());
-  const std::uint64_t checksum = plan_checksum(bytes.data(), bytes.size());
-  std::ostringstream tail;
-  write_u64(tail, checksum);
-  const std::string tail_s = tail.str();
-  bytes.insert(bytes.end(), tail_s.begin(), tail_s.end());
-  return bytes;
+  SectionWriter writer(kIndexSection);
+  std::ostream& os = writer.header();
+  write_string(os, index.model_name);
+  write_u64(os, index.model_version);
+  write_i64(os, index.items);
+  write_i64(os, index.dim);
+  write_i64(os, index.clusters);
+  write_u64(os, index.seed);
+  write_i64(os, index.iterations);
+  writer.region(index.centroids);
+  writer.region(index.perm);
+  writer.region(index.offsets);
+  return writer.finish();
 }
 
 CatalogIndexDecodeResult decode_catalog_index(const MmapModel& model) {
-  CatalogIndexDecodeResult out;
-  auto stale = [&out](std::string reason) -> CatalogIndexDecodeResult {
-    out.status = PlanStatus::kStale;
-    out.reason = std::move(reason);
-    return std::move(out);
-  };
-
-  if (!model.has_index_section()) {
-    return out;  // kAbsent
-  }
-  const std::uint8_t* data = model.index_data();
-  if (data == nullptr) {
-    return stale(model.index_bounds_error());
-  }
-  const std::size_t size = static_cast<std::size_t>(model.index_size());
-  if (size < kIndexMinBytes) {
-    return stale("catalog index section truncated (" + std::to_string(size) +
-                 " bytes)");
-  }
-  std::uint32_t prefix[4];
-  std::memcpy(prefix, data, sizeof(prefix));
-  if (prefix[0] != kIndexMagic) {
-    return stale("bad catalog index magic");
-  }
-  if (prefix[1] != kIndexFormatVersion) {
-    return stale("unsupported catalog index format version " +
-                 std::to_string(prefix[1]));
-  }
-  if (prefix[2] != kIndexEndianCheck) {
-    return stale("catalog index endianness mismatch");
-  }
-  if ((prefix[3] & kIndexFlagScalarBuilt) == 0) {
-    return stale("catalog index not built from scalar dequantization");
-  }
-  std::uint64_t declared = 0;
-  std::memcpy(&declared, data + size - 8, sizeof(declared));
-  if (plan_checksum(data, size - 8) != declared) {
-    return stale("catalog index checksum mismatch");
-  }
-  const std::size_t payload_limit = size - 8;
-
-  try {
-    std::istringstream is(std::string(
-        reinterpret_cast<const char*>(data), std::min(size, kIndexHeaderCap)));
-    is.exceptions(std::ios::failbit | std::ios::badbit | std::ios::eofbit);
-    is.ignore(16);
-
-    CatalogIndex& index = out.index;
-    index.model_name = read_string(is);
-    index.model_version = read_u64(is);
-    index.items = read_i64(is);
-    index.dim = read_i64(is);
-    index.clusters = read_i64(is);
-    index.seed = read_u64(is);
-    index.iterations = read_i64(is);
-    const std::uint64_t cent_count = read_u64(is);
-    const std::uint64_t cent_off = read_u64(is);
-    const std::uint64_t perm_count = read_u64(is);
-    const std::uint64_t perm_off = read_u64(is);
-    const std::uint64_t offs_count = read_u64(is);
-    const std::uint64_t offs_off = read_u64(is);
-
-    // Identity first: a section from a different model refresh is stale no
-    // matter how well-formed it is.
-    const std::string file_name =
-        model.has_model_identity() ? model.model_name() : "";
-    const std::uint64_t file_version =
-        model.has_model_identity() ? model.model_version() : 0;
-    if (index.model_name != file_name) {
-      return stale("catalog index model_name skew (index '" +
-                   index.model_name + "' vs file '" + file_name + "')");
-    }
-    if (index.model_version != file_version) {
-      return stale("catalog index model_version skew (index " +
-                   std::to_string(index.model_version) + " vs file " +
-                   std::to_string(file_version) + ")");
-    }
-
-    // Geometry must agree with the file's own output catalog.
-    const TensorEntry* weight = find_entry(model, "out.weight");
-    const TensorEntry* bias = find_entry(model, "out.bias");
-    if (weight == nullptr || bias == nullptr || weight->shape.size() != 2) {
-      return stale("catalog index for a model without an output catalog");
-    }
-    if (index.items != weight->shape[1] ||
-        index.dim != weight->shape[0] + 1) {
-      return stale("catalog index catalog shape skew");
-    }
-    // Hostile declared cluster count: bound it BEFORE any arithmetic that
-    // could overflow or size an allocation from it.
-    if (index.clusters < 1 || index.clusters > index.items) {
-      return stale("catalog index cluster count out of range");
-    }
-    if (index.iterations < 0) {
-      return stale("catalog index header fields out of range");
-    }
-    if (cent_count != static_cast<std::uint64_t>(index.clusters) *
-                          static_cast<std::uint64_t>(index.dim) ||
-        perm_count != static_cast<std::uint64_t>(index.items) ||
-        offs_count != static_cast<std::uint64_t>(index.clusters) + 1) {
-      return stale("catalog index region counts inconsistent");
-    }
-    auto region_ok = [&](std::uint64_t count, std::uint64_t offset,
-                         std::size_t elem) {
-      return count <= payload_limit / elem &&
-             offset <= payload_limit - count * elem;
-    };
-    if (!region_ok(cent_count, cent_off, sizeof(float)) ||
-        !region_ok(perm_count, perm_off, sizeof(std::uint32_t)) ||
-        !region_ok(offs_count, offs_off, sizeof(std::uint32_t))) {
-      return stale("catalog index region out of section bounds");
-    }
-    if (cent_off % kIndexAlignment != 0 || perm_off % kIndexAlignment != 0 ||
-        offs_off % kIndexAlignment != 0) {
-      return stale("catalog index region misaligned");
-    }
-
-    index.centroids = PlanBuffer::view(
-        reinterpret_cast<const float*>(data + cent_off),
-        static_cast<std::size_t>(cent_count));
-    index.perm =
-        IdBuffer::view(reinterpret_cast<const std::uint32_t*>(data + perm_off),
-                       static_cast<std::size_t>(perm_count));
-    index.offsets =
-        IdBuffer::view(reinterpret_cast<const std::uint32_t*>(data + offs_off),
-                       static_cast<std::size_t>(offs_count));
-
-    // Offsets must be a non-decreasing prefix chain covering [0, items].
-    if (index.offsets[0] != 0 ||
-        index.offsets[static_cast<std::size_t>(index.clusters)] !=
-            static_cast<std::uint32_t>(index.items)) {
-      return stale("catalog index cluster offsets malformed");
-    }
-    for (Index c = 0; c < index.clusters; ++c) {
-      if (index.offsets[static_cast<std::size_t>(c)] >
-          index.offsets[static_cast<std::size_t>(c) + 1]) {
-        return stale("catalog index cluster offsets malformed");
-      }
-    }
-    // The id table must be an exact permutation of [0, items): a pruned
-    // scan over anything else would silently drop or double-score items.
-    std::vector<char> seen(static_cast<std::size_t>(index.items), 0);
-    for (std::size_t i = 0; i < index.perm.size(); ++i) {
-      const std::uint32_t id = index.perm[i];
-      if (id >= static_cast<std::uint32_t>(index.items) || seen[id]) {
-        return stale("catalog index id table is not a permutation");
-      }
-      seen[id] = 1;
-    }
-    index.zero_copy = true;
-  } catch (const std::exception& e) {
-    return stale(std::string("catalog index section unreadable: ") + e.what());
-  }
-
-  out.status = PlanStatus::kValid;
-  return out;
+  CatalogIndexDecodeResult result;
+  decode_section(kIndexSection, model.index_data(), model.index_size(),
+                 model.index_bounds_error(), result,
+                 [&](SectionReader& reader) {
+                   return parse_catalog_index(reader, model, result.index);
+                 });
+  return result;
 }
 
 }  // namespace memcom

@@ -25,10 +25,9 @@
 // centroid. Two builds from the same catalog + config are byte-identical.
 //
 // Persistence: serialize_catalog_index() emits the index as the optional
-// .mcm v4 section (same self-validating shape as the v3 plan section —
-// prefix magic/format/endianness/flags, 64-byte-aligned regions, trailing
-// length-bound FNV-1a checksum). decode_catalog_index() NEVER throws for a
-// bad section: any defect — truncation, checksum mismatch, hostile
+// .mcm v4 section in the shared section frame (ondevice/section.h — the
+// same frame as the v3 plan section). decode_catalog_index() NEVER throws
+// for a bad section: any defect — truncation, checksum mismatch, hostile
 // declared cluster count, non-permutation id table, identity/dim skew —
 // comes back as kStale with a reason, and every consumer falls back to the
 // exact full scan. Index-less files stay byte-identical v1–v3.
@@ -42,37 +41,14 @@
 #include "ondevice/format.h"
 #include "ondevice/kernels.h"
 #include "ondevice/plan.h"
+#include "ondevice/section.h"
 #include "ondevice/topk.h"
 
 namespace memcom {
 
-// An id table that either OWNS its storage (built in-process) or VIEWS the
-// serialized index section inside the file mapping (adopted, zero-copy) —
-// the u32 analogue of PlanBuffer. Move-only for the same dangling-view
-// reason.
-class IdBuffer {
- public:
-  IdBuffer() = default;
-  IdBuffer(IdBuffer&&) = default;
-  IdBuffer& operator=(IdBuffer&&) = default;
-  IdBuffer(const IdBuffer&) = delete;
-  IdBuffer& operator=(const IdBuffer&) = delete;
-
-  static IdBuffer owned(std::vector<std::uint32_t> values);
-  // `data` must stay mapped for the buffer's lifetime.
-  static IdBuffer view(const std::uint32_t* data, std::size_t count);
-
-  const std::uint32_t* data() const { return data_; }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  std::uint32_t operator[](std::size_t i) const { return data_[i]; }
-  bool zero_copy() const { return data_ != nullptr && storage_.empty(); }
-
- private:
-  std::vector<std::uint32_t> storage_;
-  const std::uint32_t* data_ = nullptr;
-  std::size_t size_ = 0;
-};
+// An id table: owned when built in-process, a zero-copy view of the index
+// section when adopted.
+using IdBuffer = SectionBuffer<std::uint32_t>;
 
 struct CatalogIndexConfig {
   Index clusters = 0;    // 0 → ~sqrt(items), clamped to [1, items]
@@ -184,13 +160,12 @@ class PrunedCatalogScorer {
 std::uint64_t span_scan_bytes(const SpanSrc& src, Index offset, Index count);
 
 // Serializes `index` into the byte section ModelWriter appends for v4
-// files (regions 64-byte-aligned, trailing plan_checksum).
+// files: identity + geometry header, then centroid, id-table and offset
+// regions.
 std::vector<std::uint8_t> serialize_catalog_index(const CatalogIndex& index);
 
-struct CatalogIndexDecodeResult {
-  PlanStatus status = PlanStatus::kAbsent;
-  std::string reason;  // non-empty exactly when status == kStale
-  CatalogIndex index;  // populated exactly when status == kValid
+struct CatalogIndexDecodeResult : SectionVerdict {
+  CatalogIndex index;  // usable only when status == kValid
 };
 
 // Validates and decodes `model`'s catalog-index section. NEVER throws for

@@ -5,8 +5,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -15,16 +15,20 @@
 #include "core/serialize.h"
 #include "ondevice/catalog_index.h"
 #include "ondevice/plan.h"
+#include "ondevice/section.h"
 
 namespace memcom {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x314D434DU;  // "MCM1" little-endian
-constexpr std::uint64_t kBlobAlignment = 64;
 
-std::uint64_t align_up(std::uint64_t offset, std::uint64_t alignment) {
-  return (offset + alignment - 1) / alignment * alignment;
-}
+// The optional sections in locator (and file) order, with the version
+// that introduced each locator.
+struct SectionSlot {
+  std::uint32_t since_version;
+  const char* name;
+};
+constexpr SectionSlot kSections[] = {{3, "plan"}, {4, "catalog index"}};
 }  // namespace
 
 ModelWriter::ModelWriter(std::string path) : path_(std::move(path)) {}
@@ -68,7 +72,8 @@ std::uint64_t ModelWriter::finish() {
   for (const auto& [unused, qt] : tensors_) {
     any_grouped = any_grouped || dtype_is_grouped(qt.dtype);
   }
-  std::uint64_t total = write_file(any_grouped ? 2 : 1, {}, {});
+  std::vector<std::vector<std::uint8_t>> sections(std::size(kSections));
+  std::uint64_t total = write_file(any_grouped ? 2 : 1, sections);
   if (emit_plan_ || emit_index_) {
     // Two-pass emit: stage the section-less file, build the sections from
     // it with the very functions the load-time fallbacks run (so a cold
@@ -76,46 +81,47 @@ std::uint64_t ModelWriter::finish() {
     // serialized buffers bit-for-bit), then rewrite with the sections
     // appended. The version is the lowest the contents need: an index
     // forces v4, a plan alone v3.
-    std::vector<std::uint8_t> plan_bytes;
-    std::vector<std::uint8_t> index_bytes;
     {
       const MmapModel staged(path_);
       if (emit_plan_) {
-        plan_bytes = serialize_plan(build_plan(staged));
+        sections[0] = serialize_plan(build_plan(staged));
       }
       if (emit_index_) {
         CatalogIndexConfig config;
         config.clusters = index_clusters_;
-        index_bytes =
-            serialize_catalog_index(build_catalog_index_for_model(staged,
-                                                                  config));
+        sections[1] = serialize_catalog_index(
+            build_catalog_index_for_model(staged, config));
       }
     }
-    total = write_file(emit_index_ ? 4 : 3, plan_bytes, index_bytes);
+    total = write_file(emit_index_ ? 4 : 3, sections);
   }
   return total;
 }
 
 std::uint64_t ModelWriter::write_file(
-    std::uint32_t version, const std::vector<std::uint8_t>& plan_bytes,
-    const std::vector<std::uint8_t>& index_bytes) {
-  // First pass: serialize header + directory to a buffer to learn its size,
-  // with blob offsets filled in afterwards. We do this by computing the
-  // directory size analytically: serialize once with zero offsets, then
-  // rewrite with real offsets (the directory size does not depend on offset
-  // values because offsets and the v3 plan locator are fixed-width u64).
+    std::uint32_t version,
+    const std::vector<std::vector<std::uint8_t>>& sections) {
+  // Everything behind the front matter, in file order: the blobs, then the
+  // sections this version has locators for. Each starts 64-byte aligned,
+  // so float payloads stay aligned in the mapping.
+  std::vector<const std::vector<std::uint8_t>*> payloads;
+  for (const auto& [unused, qt] : tensors_) {
+    payloads.push_back(&qt.payload);
+  }
+  for (std::size_t s = 0; s < sections.size(); ++s) {
+    if (version >= kSections[s].since_version) {
+      payloads.push_back(&sections[s]);
+    }
+  }
+  // Serialize the front once with zero offsets to learn its size (blob
+  // offsets and section locators are fixed-width u64), then for real.
   auto serialize_front = [&](const std::vector<std::uint64_t>& offsets,
-                             std::uint64_t plan_offset,
-                             std::uint64_t index_offset, std::ostream& os) {
+                             std::ostream& os) {
     write_u32(os, kMagic);
     write_u32(os, version);
-    if (version >= 3) {
-      write_u64(os, plan_offset);
-      write_u64(os, plan_bytes.size());
-    }
-    if (version >= 4) {
-      write_u64(os, index_offset);
-      write_u64(os, index_bytes.size());
+    for (std::size_t i = tensors_.size(); i < payloads.size(); ++i) {
+      write_u64(os, offsets[i]);
+      write_u64(os, payloads[i]->size());
     }
     write_u64(os, metadata_.size());
     for (const auto& [key, value] : metadata_) {
@@ -141,51 +147,25 @@ std::uint64_t ModelWriter::write_file(
   };
 
   std::ostringstream probe;
-  serialize_front(std::vector<std::uint64_t>(tensors_.size(), 0), 0, 0, probe);
-  const std::uint64_t front_size = static_cast<std::uint64_t>(probe.str().size());
-
-  std::vector<std::uint64_t> offsets(tensors_.size());
-  std::uint64_t cursor = align_up(front_size, kBlobAlignment);
-  for (std::size_t i = 0; i < tensors_.size(); ++i) {
-    offsets[i] = cursor;
-    cursor = align_up(cursor + tensors_[i].second.payload.size(),
-                      kBlobAlignment);
+  serialize_front(std::vector<std::uint64_t>(payloads.size(), 0), probe);
+  std::vector<std::uint64_t> offsets(payloads.size());
+  std::uint64_t cursor = static_cast<std::uint64_t>(probe.str().size());
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    offsets[i] = align_up(cursor, kSectionAlignment);
+    cursor = offsets[i] + payloads[i]->size();
   }
-  // The plan section (when present) trails the last blob, 64-byte aligned
-  // like every blob so its float regions stay aligned in the mapping; the
-  // catalog-index section trails the plan with the same alignment.
-  const std::uint64_t plan_offset = cursor;
-  const std::uint64_t index_offset =
-      align_up(plan_offset + plan_bytes.size(), kBlobAlignment);
 
   std::ofstream out(path_, std::ios::binary | std::ios::trunc);
   check(out.good(), "ModelWriter: cannot open " + path_);
-  serialize_front(offsets, plan_offset, index_offset, out);
-  for (std::size_t i = 0; i < tensors_.size(); ++i) {
+  serialize_front(offsets, out);
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
     const std::uint64_t pos = static_cast<std::uint64_t>(out.tellp());
     check(pos <= offsets[i], "ModelWriter: offset bookkeeping error");
     for (std::uint64_t p = pos; p < offsets[i]; ++p) {
       out.put('\0');
     }
-    const auto& payload = tensors_[i].second.payload;
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-  }
-  if (version >= 3) {
-    for (std::uint64_t p = static_cast<std::uint64_t>(out.tellp());
-         p < plan_offset; ++p) {
-      out.put('\0');
-    }
-    out.write(reinterpret_cast<const char*>(plan_bytes.data()),
-              static_cast<std::streamsize>(plan_bytes.size()));
-  }
-  if (version >= 4) {
-    for (std::uint64_t p = static_cast<std::uint64_t>(out.tellp());
-         p < index_offset; ++p) {
-      out.put('\0');
-    }
-    out.write(reinterpret_cast<const char*>(index_bytes.data()),
-              static_cast<std::streamsize>(index_bytes.size()));
+    out.write(reinterpret_cast<const char*>(payloads[i]->data()),
+              static_cast<std::streamsize>(payloads[i]->size()));
   }
   const std::uint64_t total = static_cast<std::uint64_t>(out.tellp());
   out.close();
@@ -196,59 +176,47 @@ std::uint64_t ModelWriter::write_file(
 MmapModel::MmapModel(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   check(fd >= 0, "MmapModel: cannot open " + path);
+  // Close the descriptor before any check can reject the file.
   struct stat st = {};
-  check(::fstat(fd, &st) == 0, "MmapModel: fstat failed for " + path);
-  file_size_ = static_cast<std::uint64_t>(st.st_size);
-  check(file_size_ > 0, "MmapModel: empty file " + path);
-  void* map = ::mmap(nullptr, file_size_, PROT_READ, MAP_PRIVATE, fd, 0);
+  const bool stat_ok = ::fstat(fd, &st) == 0;
+  file_size_ = stat_ok ? static_cast<std::uint64_t>(st.st_size) : 0;
+  void* map = file_size_ > 0 ? ::mmap(nullptr, file_size_, PROT_READ,
+                                      MAP_PRIVATE, fd, 0)
+                             : MAP_FAILED;
   ::close(fd);
+  check(stat_ok, "MmapModel: fstat failed for " + path);
+  check(file_size_ > 0, "MmapModel: empty file " + path);
   check(map != MAP_FAILED, "MmapModel: mmap failed for " + path);
-  mapping_ = static_cast<const std::uint8_t*>(map);
+  mapping_ = {static_cast<const std::uint8_t*>(map), Unmap{file_size_}};
 
   // Parse the front matter through an istream view of the mapping.
   std::istringstream is(std::string(
-      reinterpret_cast<const char*>(mapping_),
+      reinterpret_cast<const char*>(mapping_.get()),
       static_cast<std::size_t>(std::min<std::uint64_t>(file_size_, 1 << 20))));
   check_eq(static_cast<long long>(kMagic),
            static_cast<long long>(read_u32(is)), "MmapModel magic");
   // Version 1: original directory. Version 2: adds a u64 group_size per
-  // entry (grouped sub-byte dtypes). Version 3: adds a trailing compiled
-  // plan section located by two header u64s. Version 4: adds a trailing
-  // catalog-index section and two more locator u64s. All stay readable
-  // forever.
+  // entry (grouped sub-byte dtypes). Versions 3 and 4 each add the locator
+  // of one trailing section (kSections). All stay readable forever.
   const std::uint32_t version = read_u32(is);
   check(version >= 1 && version <= 4, "MmapModel: unsupported version " +
                                           std::to_string(version));
   format_version_ = version;
-  if (version >= 3) {
-    plan_offset_ = read_u64(is);
-    plan_size_ = read_u64(is);
-    plan_declared_ = plan_size_ > 0;
-    // Lenient bounds: a corrupt locator makes the plan unreachable (the
-    // loader falls back to a full compile), it does not fail the open —
-    // the tensor payloads this header describes are still intact.
-    if (plan_declared_) {
-      if (plan_size_ > file_size_ ||
-          plan_offset_ > file_size_ - plan_size_) {
-        plan_bounds_error_ = "plan section out of file bounds";
-      } else if (plan_offset_ % kBlobAlignment != 0) {
-        plan_bounds_error_ = "plan section misaligned";
-      }
+  static_assert(std::size(kSections) == kSectionCount);
+  for (std::size_t s = 0; s < kSectionCount; ++s) {
+    if (version < kSections[s].since_version) {
+      continue;
     }
-  }
-  if (version >= 4) {
-    index_offset_ = read_u64(is);
-    index_size_ = read_u64(is);
-    index_declared_ = index_size_ > 0;
-    // Same lenient contract as the plan: an unreachable index only costs
-    // the pruned scan, never the open.
-    if (index_declared_) {
-      if (index_size_ > file_size_ ||
-          index_offset_ > file_size_ - index_size_) {
-        index_bounds_error_ = "catalog index section out of file bounds";
-      } else if (index_offset_ % kBlobAlignment != 0) {
-        index_bounds_error_ = "catalog index section misaligned";
-      }
+    SectionLocator& section = sections_[s];
+    section.offset = read_u64(is);
+    section.size = read_u64(is);
+    // Lenient bounds: a corrupt locator makes the section unreachable (the
+    // loader falls back), it does not fail the open — the tensor payloads
+    // this header describes are still intact.
+    if (section.size > 0) {
+      section.bounds_error =
+          placement_error(section.offset, section.size, 1, file_size_,
+                          std::string(kSections[s].name) + " section", "file");
     }
   }
   const std::uint64_t metadata_count = read_u64(is);
@@ -326,10 +294,8 @@ MmapModel::MmapModel(const std::string& path) {
   }
 }
 
-MmapModel::~MmapModel() {
-  if (mapping_ != nullptr) {
-    ::munmap(const_cast<std::uint8_t*>(mapping_), file_size_);
-  }
+void MmapModel::Unmap::operator()(const std::uint8_t* data) const {
+  ::munmap(const_cast<std::uint8_t*>(data), size);
 }
 
 std::string MmapModel::metadata_value(const std::string& key) const {
@@ -400,18 +366,12 @@ std::size_t MmapModel::entry_index(const std::string& name) const {
   return 0;  // unreachable
 }
 
-const std::uint8_t* MmapModel::plan_data() const {
-  if (!plan_declared_ || !plan_bounds_error_.empty()) {
+const std::uint8_t* MmapModel::section_data(std::size_t slot) const {
+  const SectionLocator& section = sections_[slot];
+  if (section.size == 0 || !section.bounds_error.empty()) {
     return nullptr;
   }
-  return mapping_ + plan_offset_;
-}
-
-const std::uint8_t* MmapModel::index_data() const {
-  if (!index_declared_ || !index_bounds_error_.empty()) {
-    return nullptr;
-  }
-  return mapping_ + index_offset_;
+  return mapping_.get() + section.offset;
 }
 
 std::vector<std::string> MmapModel::tensor_names() const {
@@ -424,7 +384,7 @@ std::vector<std::string> MmapModel::tensor_names() const {
 }
 
 const std::uint8_t* MmapModel::payload(const TensorEntry& e) const {
-  return mapping_ + e.offset;
+  return mapping_.get() + e.offset;
 }
 
 Tensor MmapModel::load_tensor(const std::string& name) const {

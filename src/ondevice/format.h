@@ -1,13 +1,18 @@
 // The .mcm on-device model format: a flat, mmap-friendly container.
 //
 // Layout:
-//   [header]   magic "MCM1", version, (v3+: plan offset+size),
-//              (v4: catalog-index offset+size), counts
+//   [header]   magic "MCM1", version, one (u64 offset, u64 size) locator
+//              per optional section the version has (v3+: plan, v4+:
+//              catalog index), counts
 //   [metadata] key/value string pairs (architecture, technique, dims, ...)
 //   [directory] per tensor: name, dtype, shape, scale, blob offset+size
 //   [blobs]    raw tensor payloads, each aligned to 64 bytes
 //   [plan]     v3+ only: serialized compiled plan (see ondevice/plan.h)
 //   [index]    v4 only: serialized catalog index (ondevice/catalog_index.h)
+//
+// Both optional sections use the one section frame of ondevice/section.h
+// (prefix, aligned regions, checksum, never-throw decode) and start
+// 64-byte aligned after the blobs, in locator order.
 //
 // The reader maps the file with mmap(2) (read-only, MAP_PRIVATE) and hands
 // out zero-copy views, exactly like CoreML / TF-Lite weight files (§3 of
@@ -15,16 +20,17 @@
 // meter can attribute page touches.
 //
 // Versioning discipline: v2 added per-entry group_size for grouped dtypes;
-// v3 adds an OPTIONAL trailing plan section and two u64 header fields
-// locating it; v4 adds an OPTIONAL clustered catalog-index section and two
-// more locator u64s. A file is only ever written at the lowest version its
-// contents need, so plan-less/index-less exports stay byte-identical to
-// what pre-v3/pre-v4 writers produced and remain readable by old readers.
+// v3 adds the plan section's locator; v4 adds the catalog-index section's.
+// A file is only ever written at the lowest version its contents need, so
+// plan-less/index-less exports stay byte-identical to what pre-v3/pre-v4
+// writers produced and remain readable by old readers.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -91,9 +97,10 @@ class ModelWriter {
   std::uint64_t finish();
 
  private:
-  std::uint64_t write_file(std::uint32_t version,
-                           const std::vector<std::uint8_t>& plan_bytes,
-                           const std::vector<std::uint8_t>& index_bytes);
+  // `sections`: each optional section's bytes, in locator order.
+  std::uint64_t write_file(
+      std::uint32_t version,
+      const std::vector<std::vector<std::uint8_t>>& sections);
 
   std::string path_;
   std::map<std::string, std::string> metadata_;
@@ -107,7 +114,6 @@ class ModelWriter {
 class MmapModel {
  public:
   explicit MmapModel(const std::string& path);
-  ~MmapModel();
 
   MmapModel(const MmapModel&) = delete;
   MmapModel& operator=(const MmapModel&) = delete;
@@ -157,41 +163,50 @@ class MmapModel {
   std::uint64_t file_size() const { return file_size_; }
   std::uint32_t format_version() const { return format_version_; }
 
-  // v3 plan section. Bounds are validated LENIENTLY: a header that declares
-  // a section falling outside the file (or misaligned) marks the plan
-  // unreachable (plan_data() == nullptr, reason in plan_bounds_error())
-  // instead of failing the open — the tensors themselves are intact and
-  // the loader must be able to fall back to a full compile.
-  bool has_plan_section() const { return plan_declared_; }
-  const std::uint8_t* plan_data() const;  // nullptr when absent/unreachable
-  std::uint64_t plan_offset() const { return plan_offset_; }
-  std::uint64_t plan_size() const { return plan_size_; }
-  const std::string& plan_bounds_error() const { return plan_bounds_error_; }
+  // Optional sections. Locators are validated LENIENTLY: a header that
+  // declares a section falling outside the file (or misaligned) marks it
+  // unreachable (*_data() == nullptr, reason in *_bounds_error()) instead
+  // of failing the open — the tensors themselves are intact, so the loader
+  // falls back to a full compile (plan) or the exact scan (index).
+  bool has_plan_section() const { return sections_[kPlan].size > 0; }
+  const std::uint8_t* plan_data() const { return section_data(kPlan); }
+  std::uint64_t plan_offset() const { return sections_[kPlan].offset; }
+  std::uint64_t plan_size() const { return sections_[kPlan].size; }
+  const std::string& plan_bounds_error() const {
+    return sections_[kPlan].bounds_error;
+  }
 
-  // v4 catalog-index section, with the same lenient bounds contract as the
-  // plan: a hostile locator makes the index unreachable (the scan falls
-  // back to exact), it never fails the open.
-  bool has_index_section() const { return index_declared_; }
-  const std::uint8_t* index_data() const;  // nullptr when absent/unreachable
-  std::uint64_t index_offset() const { return index_offset_; }
-  std::uint64_t index_size() const { return index_size_; }
-  const std::string& index_bounds_error() const { return index_bounds_error_; }
+  bool has_index_section() const { return sections_[kIndex].size > 0; }
+  const std::uint8_t* index_data() const { return section_data(kIndex); }
+  std::uint64_t index_offset() const { return sections_[kIndex].offset; }
+  std::uint64_t index_size() const { return sections_[kIndex].size; }
+  const std::string& index_bounds_error() const {
+    return sections_[kIndex].bounds_error;
+  }
 
  private:
+  enum : std::size_t { kPlan, kIndex, kSectionCount };
+  struct SectionLocator {
+    std::uint64_t offset = 0;
+    std::uint64_t size = 0;  // 0: not declared
+    std::string bounds_error;
+  };
+  // Unmaps on destruction, also when a check() rejects the open midway.
+  struct Unmap {
+    std::uint64_t size;
+    void operator()(const std::uint8_t* data) const;
+  };
+
+  // nullptr when the section is absent or unreachable.
+  const std::uint8_t* section_data(std::size_t slot) const;
+
   std::map<std::string, std::string> metadata_;
   std::map<std::string, TensorEntry> entries_;
   std::vector<const TensorEntry*> ordered_;  // directory in file order
-  const std::uint8_t* mapping_ = nullptr;
+  std::unique_ptr<const std::uint8_t, Unmap> mapping_;
   std::uint64_t file_size_ = 0;
   std::uint32_t format_version_ = 1;
-  bool plan_declared_ = false;
-  std::uint64_t plan_offset_ = 0;
-  std::uint64_t plan_size_ = 0;
-  std::string plan_bounds_error_;
-  bool index_declared_ = false;
-  std::uint64_t index_offset_ = 0;
-  std::uint64_t index_size_ = 0;
-  std::string index_bounds_error_;
+  std::array<SectionLocator, kSectionCount> sections_;
   // Mutable: counting lookups does not change the logical model. Atomic so
   // concurrent serving engines sharing one model stay race-free.
   mutable std::atomic<std::uint64_t> entry_lookups_{0};

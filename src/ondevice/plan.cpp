@@ -1,9 +1,6 @@
 #include "ondevice/plan.h"
 
 #include <cmath>
-#include <cstring>
-#include <limits>
-#include <sstream>
 
 #include "core/check.h"
 #include "core/serialize.h"
@@ -12,42 +9,125 @@
 namespace memcom {
 
 namespace {
-constexpr std::uint32_t kPlanMagic = 0x4E414C50U;  // "PLAN" little-endian
-constexpr std::uint32_t kPlanFormatVersion = 1;
-constexpr std::uint32_t kPlanEndianCheck = 0x01020304U;
 // Plan buffers were produced by the scalar reference dequantizer, so the
 // plan is valid for every kernel dispatch family. A future writer that
-// drops the guarantee must clear the bit, and this reader will refuse.
-constexpr std::uint32_t kPlanFlagScalarPredequant = 1U << 0;
-constexpr std::uint64_t kPlanAlignment = 64;
-// Fixed-size prefix (magic, format, endian, flags) + trailing checksum: the
-// least a section can hold before structural parsing is even attempted.
-constexpr std::uint64_t kPlanMinBytes = 4 * sizeof(std::uint32_t) + 8;
+// drops the guarantee must clear the flag, and this reader will refuse.
+constexpr SectionKind kPlanSection = {
+    0x4E414C50U,  // "PLAN" little-endian
+    1,            // format version
+    1U << 0,      // flag: buffers scalar-predequantized
+    "plan",
+    "plan buffers not scalar-predequantized",
+    "buffer",
+};
 constexpr std::size_t kPlanBufferCount = 7;
-
-std::uint64_t align_up(std::uint64_t offset, std::uint64_t alignment) {
-  return (offset + alignment - 1) / alignment * alignment;
-}
 
 // The seven buffer slots, in serialization order. Unused slots (e.g. bn2 on
 // a ranking trunk) serialize as count 0 so the layout never branches.
-std::vector<const PlanBuffer*> buffer_slots(const CompiledPlan& plan) {
-  return {&plan.bn1_scale,   &plan.bn1_shift, &plan.bn2_scale,
-          &plan.bn2_shift,   &plan.dense1_bias, &plan.out_bias,
-          &plan.projection};
+template <typename Plan>  // CompiledPlan or const CompiledPlan
+auto buffer_slots(Plan& plan) {
+  return std::vector{&plan.bn1_scale,   &plan.bn1_shift, &plan.bn2_scale,
+                     &plan.bn2_shift,   &plan.dense1_bias, &plan.out_bias,
+                     &plan.projection};
 }
 
-std::vector<PlanBuffer*> buffer_slots(CompiledPlan& plan) {
-  return {&plan.bn1_scale,   &plan.bn1_shift, &plan.bn2_scale,
-          &plan.bn2_shift,   &plan.dense1_bias, &plan.out_bias,
-          &plan.projection};
-}
+// The plan's own header and semantic agreement with the file the plan
+// rides in; the frame was checked by the reader.
+std::string parse_plan(SectionReader& reader, const MmapModel& model,
+                       CompiledPlan& plan) {
+  std::istream& is = reader.header();
+  plan.model_name = read_string(is);
+  plan.model_version = read_u64(is);
+  plan.arch = read_string(is);
+  plan.technique = read_string(is);
+  plan.vocab = read_i64(is);
+  plan.embed_dim = read_i64(is);
+  plan.hash_size = read_i64(is);
+  plan.hidden_dim = read_i64(is);
+  plan.output_dim = read_i64(is);
+  plan.factor_dim = read_i64(is);
+  const std::uint64_t handle_count = read_u64(is);
+  if (handle_count > model.entry_count()) {
+    return "plan declares more handles than the directory has";
+  }
+  for (std::uint64_t i = 0; i < handle_count; ++i) {
+    PlanHandle handle;
+    handle.name = read_string(is);
+    handle.index = read_u64(is);
+    plan.handles.push_back(std::move(handle));
+  }
+  const std::uint64_t buffer_count = read_u64(is);
+  if (buffer_count != kPlanBufferCount) {
+    return "unexpected plan buffer count " + std::to_string(buffer_count);
+  }
+  for (PlanBuffer* slot : buffer_slots(plan)) {
+    if (!reader.view(reader.read_region(), *slot)) {
+      return reader.error();
+    }
+  }
 
-PlanDecodeResult stale(std::string reason) {
-  PlanDecodeResult result;
-  result.status = PlanStatus::kStale;
-  result.reason = std::move(reason);
-  return result;
+  // Identity, metadata dims, directory handles, buffer widths. Any skew
+  // means the section belongs to a different refresh of the model.
+  if (plan.model_name != model.model_name()) {
+    return "plan model_name skew (plan '" + plan.model_name + "' vs file '" +
+           model.model_name() + "')";
+  }
+  if (plan.model_version != model.model_version()) {
+    return "plan model_version skew (plan " +
+           std::to_string(plan.model_version) + " vs file " +
+           std::to_string(model.model_version()) + ")";
+  }
+  if (plan.arch != model.metadata_value("arch") ||
+      plan.technique != model.metadata_value("technique")) {
+    return "plan arch/technique skew";
+  }
+  plan.kind = technique_from_metadata(plan.technique);
+  plan.has_hidden = plan.arch == "classification";
+  const Index file_hidden =
+      model.has_metadata("hidden_dim") ? model.metadata_int("hidden_dim") : 0;
+  if (plan.vocab != model.metadata_int("vocab") ||
+      plan.embed_dim != model.metadata_int("embed_dim") ||
+      plan.hash_size != model.metadata_int("knob") ||
+      plan.output_dim != model.metadata_int("output_dim") ||
+      plan.hidden_dim != file_hidden) {
+    return "plan dimension skew";
+  }
+  const std::vector<std::string> roles =
+      plan_tensor_roles(plan.kind, plan.has_hidden);
+  if (plan.handles.size() != roles.size()) {
+    return "plan handle count skew";
+  }
+  for (std::size_t i = 0; i < roles.size(); ++i) {
+    const PlanHandle& handle = plan.handles[i];
+    if (handle.name != roles[i] || handle.index >= model.entry_count() ||
+        model.entry_at(static_cast<std::size_t>(handle.index)).name !=
+            handle.name) {
+      return "plan handle skew for " + roles[i];
+    }
+  }
+  if (plan.kind == Technique::kFactorized &&
+      plan.factor_dim != model.entry("emb.factors").shape[1]) {
+    return "plan factor_dim skew";
+  }
+  const Index projection_count =
+      plan.kind == Technique::kFactorized ? plan.factor_dim * plan.embed_dim
+                                          : 0;
+  const struct { const PlanBuffer* buffer; Index expect; } widths[] = {
+      {&plan.bn1_scale, plan.embed_dim},
+      {&plan.bn1_shift, plan.embed_dim},
+      {&plan.bn2_scale, plan.has_hidden ? plan.hidden_dim : 0},
+      {&plan.bn2_shift, plan.has_hidden ? plan.hidden_dim : 0},
+      {&plan.dense1_bias, plan.has_hidden ? plan.hidden_dim : 0},
+      {&plan.out_bias, plan.output_dim},
+      {&plan.projection, projection_count},
+  };
+  for (const auto& [buffer, expect] : widths) {
+    if (buffer->size() != static_cast<std::size_t>(expect)) {
+      return "plan buffer width skew";
+    }
+  }
+  plan.zero_copy = true;
+  return "";
 }
 }  // namespace
 
@@ -101,21 +181,6 @@ Index embedding_stage_ops(Technique kind) {
       return 3;  // one_hot + matmul + reduce_sum (the un-fused §5.3 path)
   }
   return 1;
-}
-
-PlanBuffer PlanBuffer::owned(std::vector<float> values) {
-  PlanBuffer buffer;
-  buffer.storage_ = std::move(values);
-  buffer.data_ = buffer.storage_.data();
-  buffer.size_ = buffer.storage_.size();
-  return buffer;
-}
-
-PlanBuffer PlanBuffer::view(const float* data, std::size_t count) {
-  PlanBuffer buffer;
-  buffer.data_ = data;
-  buffer.size_ = count;
-  return buffer;
 }
 
 SpanSrc make_span_src(const TensorEntry& entry, const std::uint8_t* payload) {
@@ -237,271 +302,40 @@ CompiledPlan build_plan(const MmapModel& model) {
   return plan;
 }
 
-std::uint64_t plan_checksum(const std::uint8_t* data, std::size_t size) {
-  // FNV-1a over 8-byte little-endian words (tail zero-padded), length
-  // bound: one multiply per word instead of per byte keeps validating a
-  // plan cheap next to the dequantization work adoption replaces.
-  constexpr std::uint64_t kPrime = 1099511628211ULL;
-  std::uint64_t hash = 14695981039346656037ULL;
-  std::size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, data + i, 8);
-    hash = (hash ^ word) * kPrime;
-  }
-  if (i < size) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, data + i, size - i);
-    hash = (hash ^ word) * kPrime;
-  }
-  return (hash ^ static_cast<std::uint64_t>(size)) * kPrime;
-}
-
 std::vector<std::uint8_t> serialize_plan(const CompiledPlan& plan) {
-  const std::vector<const PlanBuffer*> slots = buffer_slots(plan);
-  // Offsets are fixed-width u64s, so the header size does not depend on
-  // their values: serialize once with zeros to measure, lay the buffer
-  // regions out 64-byte-aligned behind it, then serialize for real.
-  auto emit_header = [&](std::ostream& os,
-                         const std::vector<std::uint64_t>& offsets) {
-    write_u32(os, kPlanMagic);
-    write_u32(os, kPlanFormatVersion);
-    write_u32(os, kPlanEndianCheck);
-    write_u32(os, kPlanFlagScalarPredequant);
-    write_string(os, plan.model_name);
-    write_u64(os, plan.model_version);
-    write_string(os, plan.arch);
-    write_string(os, plan.technique);
-    write_i64(os, plan.vocab);
-    write_i64(os, plan.embed_dim);
-    write_i64(os, plan.hash_size);
-    write_i64(os, plan.hidden_dim);
-    write_i64(os, plan.output_dim);
-    write_i64(os, plan.factor_dim);
-    write_u64(os, plan.handles.size());
-    for (const PlanHandle& handle : plan.handles) {
-      write_string(os, handle.name);
-      write_u64(os, handle.index);
-    }
-    write_u64(os, slots.size());
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      write_u64(os, slots[i]->size());
-      write_u64(os, offsets[i]);
-    }
-  };
-
-  std::ostringstream probe;
-  emit_header(probe, std::vector<std::uint64_t>(slots.size(), 0));
-  const std::uint64_t header_size =
-      static_cast<std::uint64_t>(probe.str().size());
-
-  std::vector<std::uint64_t> offsets(slots.size(), 0);
-  std::uint64_t cursor = header_size;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i]->empty()) {
-      continue;
-    }
-    cursor = align_up(cursor, kPlanAlignment);
-    offsets[i] = cursor;
-    cursor += slots[i]->byte_size();
+  SectionWriter writer(kPlanSection);
+  std::ostream& os = writer.header();
+  write_string(os, plan.model_name);
+  write_u64(os, plan.model_version);
+  write_string(os, plan.arch);
+  write_string(os, plan.technique);
+  write_i64(os, plan.vocab);
+  write_i64(os, plan.embed_dim);
+  write_i64(os, plan.hash_size);
+  write_i64(os, plan.hidden_dim);
+  write_i64(os, plan.output_dim);
+  write_i64(os, plan.factor_dim);
+  write_u64(os, plan.handles.size());
+  for (const PlanHandle& handle : plan.handles) {
+    write_string(os, handle.name);
+    write_u64(os, handle.index);
   }
-
-  std::ostringstream os;
-  emit_header(os, offsets);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i]->empty()) {
-      continue;
-    }
-    for (std::uint64_t p = static_cast<std::uint64_t>(os.tellp());
-         p < offsets[i]; ++p) {
-      os.put('\0');
-    }
-    write_f32_array(os, slots[i]->data(), slots[i]->size());
+  const auto slots = buffer_slots(plan);
+  write_u64(os, slots.size());
+  for (const PlanBuffer* slot : slots) {
+    writer.region(*slot);
   }
-  const std::string body = os.str();
-  const std::uint64_t checksum = plan_checksum(
-      reinterpret_cast<const std::uint8_t*>(body.data()), body.size());
-  write_u64(os, checksum);
-
-  const std::string full = os.str();
-  return std::vector<std::uint8_t>(full.begin(), full.end());
+  return writer.finish();
 }
 
 PlanDecodeResult decode_plan(const MmapModel& model) {
-  if (!model.has_plan_section()) {
-    return PlanDecodeResult{};  // kAbsent
-  }
-  // A declared-but-unreachable section (out of file bounds, misaligned) was
-  // flagged at open; stale, not fatal — the tensors themselves are intact.
-  if (model.plan_data() == nullptr) {
-    return stale(model.plan_bounds_error());
-  }
-  const std::uint8_t* base = model.plan_data();
-  const std::uint64_t size = model.plan_size();
-  if (size < kPlanMinBytes) {
-    return stale("plan section truncated (" + std::to_string(size) +
-                 " bytes)");
-  }
-
-  // Fixed-prefix compatibility gate first, checksum second, structure
-  // third, semantics last — each layer only reads what the previous one
-  // vouched for.
-  std::uint32_t magic = 0, format = 0, endian = 0, flags = 0;
-  std::memcpy(&magic, base, 4);
-  std::memcpy(&format, base + 4, 4);
-  std::memcpy(&endian, base + 8, 4);
-  std::memcpy(&flags, base + 12, 4);
-  if (magic != kPlanMagic) {
-    return stale("bad plan magic");
-  }
-  if (format != kPlanFormatVersion) {
-    return stale("unsupported plan format version " + std::to_string(format));
-  }
-  if (endian != kPlanEndianCheck) {
-    return stale("plan endianness mismatch");
-  }
-  if ((flags & kPlanFlagScalarPredequant) == 0) {
-    return stale("plan buffers not scalar-predequantized");
-  }
-  std::uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, base + size - 8, 8);
-  if (plan_checksum(base, static_cast<std::size_t>(size - 8)) !=
-      stored_checksum) {
-    return stale("plan checksum mismatch");
-  }
-  const std::uint64_t payload_limit = size - 8;  // bytes before the checksum
-
-  try {
-    // Structural parse of the header region. The buffer data regions are
-    // never copied — only the strings/ints front, which is tiny; cap the
-    // copy so a pathological header cannot balloon it (reads past the cap
-    // fail the stream and land in the catch below).
-    const std::size_t header_cap = static_cast<std::size_t>(
-        std::min<std::uint64_t>(size, 1ULL << 16));
-    std::istringstream is(
-        std::string(reinterpret_cast<const char*>(base), header_cap));
-    is.ignore(16);  // fixed prefix, validated above
-
-    CompiledPlan plan;
-    plan.model_name = read_string(is);
-    plan.model_version = read_u64(is);
-    plan.arch = read_string(is);
-    plan.technique = read_string(is);
-    plan.vocab = read_i64(is);
-    plan.embed_dim = read_i64(is);
-    plan.hash_size = read_i64(is);
-    plan.hidden_dim = read_i64(is);
-    plan.output_dim = read_i64(is);
-    plan.factor_dim = read_i64(is);
-    const std::uint64_t handle_count = read_u64(is);
-    if (handle_count > model.entry_count()) {
-      return stale("plan declares more handles than the directory has");
-    }
-    for (std::uint64_t i = 0; i < handle_count; ++i) {
-      PlanHandle handle;
-      handle.name = read_string(is);
-      handle.index = read_u64(is);
-      plan.handles.push_back(std::move(handle));
-    }
-    const std::uint64_t buffer_count = read_u64(is);
-    if (buffer_count != kPlanBufferCount) {
-      return stale("unexpected plan buffer count " +
-                   std::to_string(buffer_count));
-    }
-    std::vector<PlanBuffer*> slots = buffer_slots(plan);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      const std::uint64_t count = read_u64(is);
-      const std::uint64_t offset = read_u64(is);
-      if (count == 0) {
-        continue;
-      }
-      // Overflow-safe bounds: a hostile header can declare sizes whose
-      // byte count wraps back into range.
-      if (count > payload_limit / sizeof(float) ||
-          offset > payload_limit - count * sizeof(float)) {
-        return stale("plan buffer out of section bounds");
-      }
-      if (offset % kPlanAlignment != 0) {
-        return stale("plan buffer misaligned");
-      }
-      *slots[i] = PlanBuffer::view(
-          reinterpret_cast<const float*>(base + offset),
-          static_cast<std::size_t>(count));
-    }
-
-    // Semantic agreement with the file the plan rides in: identity,
-    // metadata dims, directory handles, buffer widths. Any skew means the
-    // section belongs to a different refresh of the model — recompile.
-    if (plan.model_name != model.model_name()) {
-      return stale("plan model_name skew (plan '" + plan.model_name +
-                   "' vs file '" + model.model_name() + "')");
-    }
-    if (plan.model_version != model.model_version()) {
-      return stale("plan model_version skew (plan " +
-                   std::to_string(plan.model_version) + " vs file " +
-                   std::to_string(model.model_version()) + ")");
-    }
-    if (plan.arch != model.metadata_value("arch") ||
-        plan.technique != model.metadata_value("technique")) {
-      return stale("plan arch/technique skew");
-    }
-    plan.kind = technique_from_metadata(plan.technique);
-    plan.has_hidden = plan.arch == "classification";
-    const Index file_hidden = model.has_metadata("hidden_dim")
-                                  ? model.metadata_int("hidden_dim")
-                                  : 0;
-    if (plan.vocab != model.metadata_int("vocab") ||
-        plan.embed_dim != model.metadata_int("embed_dim") ||
-        plan.hash_size != model.metadata_int("knob") ||
-        plan.output_dim != model.metadata_int("output_dim") ||
-        plan.hidden_dim != file_hidden) {
-      return stale("plan dimension skew");
-    }
-    const std::vector<std::string> roles =
-        plan_tensor_roles(plan.kind, plan.has_hidden);
-    if (plan.handles.size() != roles.size()) {
-      return stale("plan handle count skew");
-    }
-    for (std::size_t i = 0; i < roles.size(); ++i) {
-      const PlanHandle& handle = plan.handles[i];
-      if (handle.name != roles[i] || handle.index >= model.entry_count() ||
-          model.entry_at(static_cast<std::size_t>(handle.index)).name !=
-              handle.name) {
-        return stale("plan handle skew for " + roles[i]);
-      }
-    }
-    if (plan.kind == Technique::kFactorized &&
-        plan.factor_dim != model.entry("emb.factors").shape[1]) {
-      return stale("plan factor_dim skew");
-    }
-    const Index projection_count =
-        plan.kind == Technique::kFactorized ? plan.factor_dim * plan.embed_dim
-                                            : 0;
-    const struct { const PlanBuffer* buffer; Index expect; } widths[] = {
-        {&plan.bn1_scale, plan.embed_dim},
-        {&plan.bn1_shift, plan.embed_dim},
-        {&plan.bn2_scale, plan.has_hidden ? plan.hidden_dim : 0},
-        {&plan.bn2_shift, plan.has_hidden ? plan.hidden_dim : 0},
-        {&plan.dense1_bias, plan.has_hidden ? plan.hidden_dim : 0},
-        {&plan.out_bias, plan.output_dim},
-        {&plan.projection, projection_count},
-    };
-    for (const auto& [buffer, expect] : widths) {
-      if (buffer->size() != static_cast<std::size_t>(expect)) {
-        return stale("plan buffer width skew");
-      }
-    }
-
-    plan.zero_copy = true;
-    PlanDecodeResult result;
-    result.status = PlanStatus::kValid;
-    result.plan = std::move(plan);
-    return result;
-  } catch (const std::exception& e) {
-    // Truncated/garbled header: the stream readers throw; report, fall
-    // back. A bad plan section must never take down a loadable model.
-    return stale(std::string("plan section unreadable: ") + e.what());
-  }
+  PlanDecodeResult result;
+  decode_section(kPlanSection, model.plan_data(), model.plan_size(),
+                 model.plan_bounds_error(), result,
+                 [&](SectionReader& reader) {
+                   return parse_plan(reader, model, result.plan);
+                 });
+  return result;
 }
 
 }  // namespace memcom

@@ -7,13 +7,11 @@
 //     technique resolution, tensor handles as STABLE DIRECTORY INDICES,
 //     folded batchnorm scale/shift, pre-dequantized trunk buffers. No
 //     pointers — the plan is position-independent data.
-//   * serialize_plan() — the plan as a self-validating byte section
-//     (identity + compatibility header, handle table, 64-byte-aligned f32
-//     buffer regions, trailing checksum) that ModelWriter appends to make a
-//     v3 file.
-//   * decode_plan()    — the read side: validates a file's plan section
-//     (magic/version/endianness, checksum, structural bounds, identity and
-//     dimension agreement with the file's own metadata and directory) and
+//   * serialize_plan() — the plan as a section in the shared frame
+//     (ondevice/section.h): identity + dimension header, handle table, and
+//     seven f32 buffer regions. ModelWriter appends it to make a v3 file.
+//   * decode_plan()    — the read side: the frame checks, then identity and
+//     dimension agreement with the file's own metadata and directory;
 //     returns zero-copy buffer views into the mapping. Any mismatch yields
 //     a STALE verdict with a reason — never an exception — so the loader
 //     can fall back to build_plan() on the same file; the fallback is
@@ -33,6 +31,7 @@
 #include "core/tensor.h"
 #include "ondevice/format.h"
 #include "ondevice/kernels.h"
+#include "ondevice/section.h"
 
 namespace memcom {
 
@@ -60,38 +59,9 @@ Technique technique_from_metadata(const std::string& name);
 // overhead the simulated device model charges per forward).
 Index embedding_stage_ops(Technique kind);
 
-// A pre-dequantized float buffer that either OWNS its storage (built
-// in-process) or VIEWS a serialized plan section inside the file mapping
-// (adopted, zero-copy). Consumers only ever use data()/size(), so the two
-// origins are interchangeable; move-only because a view of a moved-from
-// owner would dangle.
-class PlanBuffer {
- public:
-  PlanBuffer() = default;
-  PlanBuffer(PlanBuffer&&) = default;
-  PlanBuffer& operator=(PlanBuffer&&) = default;
-  PlanBuffer(const PlanBuffer&) = delete;
-  PlanBuffer& operator=(const PlanBuffer&) = delete;
-
-  static PlanBuffer owned(std::vector<float> values);
-  // `data` must stay mapped for the buffer's lifetime (the CompiledModel
-  // keeps the MmapModel alive exactly as long as the plan).
-  static PlanBuffer view(const float* data, std::size_t count);
-
-  const float* data() const { return data_; }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  std::size_t byte_size() const { return size_ * sizeof(float); }
-  float operator[](std::size_t i) const { return data_[i]; }
-  // True when the buffer views the mmap'd plan section instead of owning a
-  // heap copy — the cold-start win adoption is about.
-  bool zero_copy() const { return data_ != nullptr && storage_.empty(); }
-
- private:
-  std::vector<float> storage_;
-  const float* data_ = nullptr;
-  std::size_t size_ = 0;
-};
+// A pre-dequantized float buffer: owned when built in-process, a
+// zero-copy view of the plan section when adopted.
+using PlanBuffer = SectionBuffer<float>;
 
 // A tensor handle as a stable position in the file's directory: readers
 // re-resolve `index` through MmapModel::entry_at() and verify the recorded
@@ -143,28 +113,18 @@ CompiledPlan build_plan(const MmapModel& model);
 // Serializes `plan` into the byte section ModelWriter appends for v3 files.
 std::vector<std::uint8_t> serialize_plan(const CompiledPlan& plan);
 
-enum class PlanStatus : std::uint8_t {
-  kAbsent,  // the file carries no plan section (v1/v2, or empty section)
-  kValid,   // decoded, verified, ready to adopt
-  kStale,   // present but unusable — `reason` says why; caller recompiles
+using PlanStatus = SectionStatus;
+
+struct PlanDecodeResult : SectionVerdict {
+  CompiledPlan plan;  // usable only when status == kValid
 };
 
-struct PlanDecodeResult {
-  PlanStatus status = PlanStatus::kAbsent;
-  std::string reason;  // non-empty exactly when status == kStale
-  CompiledPlan plan;   // populated exactly when status == kValid
-};
-
-// Validates and decodes `model`'s plan section. NEVER throws for a bad
-// section: every defect (truncation, checksum mismatch, identity/dims skew,
+// Validates and decodes `model`'s plan section under the section codec's
+// strict contract (ondevice/section.h): NEVER throws for a bad section —
+// every defect (truncation, checksum mismatch, identity/dims skew,
 // out-of-bounds buffer) comes back as kStale with a reason so the caller
 // can fall back to build_plan().
 PlanDecodeResult decode_plan(const MmapModel& model);
-
-// Checksum over a plan section's bytes (FNV-1a over 8-byte words, length
-// bound). Exposed so hardening tests can re-seal deliberately hostile
-// sections and prove the structural checks fire, not just the checksum.
-std::uint64_t plan_checksum(const std::uint8_t* data, std::size_t size);
 
 // Resolves a directory entry + mapped payload into the kernel layer's codec
 // view (i4g scales/nibble split done once). Shared by CompiledModel's

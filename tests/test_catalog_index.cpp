@@ -50,7 +50,7 @@ void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
 void reseal_index(std::vector<std::uint8_t>& file, std::uint64_t offset,
                   std::uint64_t size) {
   const std::uint64_t sum =
-      plan_checksum(file.data() + offset, static_cast<std::size_t>(size - 8));
+      section_checksum(file.data() + offset, static_cast<std::size_t>(size - 8));
   std::memcpy(file.data() + offset + size - 8, &sum, 8);
 }
 
@@ -599,6 +599,49 @@ TEST_F(CatalogIndexFileTest, IdentitySkewFallsBack) {
   reseal_index(bytes, offset, size);
   write_file(path, bytes);
   expect_stale_exact_fallback(path, "model_version skew");
+}
+
+TEST_F(CatalogIndexFileTest, PrefixAndRegionDefectsFallBack) {
+  // Each case XORs one u32 of the section (byte position relative to the
+  // section start) and re-seals, so the frame check behind the checksum
+  // has to catch it.
+  // The centroid region's offset word follows the 16-byte prefix, the name
+  // string (u64 length + "cidx"), the version u64, five i64/u64 header
+  // fields and the centroid count u64.
+  const std::uint64_t centroid_offset_at = 16 + 8 + 4 + 8 + 5 * 8 + 8;
+  const struct {
+    const char* tag;
+    std::uint64_t at;
+    std::uint32_t mask;
+    const char* reason;
+  } cases[] = {
+      {"magic", 0, 0xFFu, "bad catalog index magic"},
+      {"format", 4, 0x3u, "unsupported catalog index format version 2"},
+      {"endian", 8, 0x05050505u, "catalog index endianness mismatch"},
+      {"flag", 12, 0x1u, "not built from scalar dequantization"},
+      // Aligned offsets have bit 2 clear: +4, still inside the section.
+      {"misaligned", centroid_offset_at, 0x4u, "region misaligned"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.tag);
+    const std::string path = export_model(std::string("prefix_") + c.tag,
+                                          true, 6);
+    std::vector<std::uint8_t> bytes = read_file(path);
+    std::uint64_t offset = 0, size = 0;
+    {
+      const MmapModel model(path);
+      ASSERT_TRUE(model.has_index_section());
+      offset = model.index_offset();
+      size = model.index_size();
+    }
+    std::uint32_t word = 0;
+    std::memcpy(&word, bytes.data() + offset + c.at, 4);
+    word ^= c.mask;
+    std::memcpy(bytes.data() + offset + c.at, &word, 4);
+    reseal_index(bytes, offset, size);
+    write_file(path, bytes);
+    expect_stale_exact_fallback(path, c.reason);
+  }
 }
 
 }  // namespace

@@ -8,10 +8,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "core/serialize.h"
 #include "ondevice/engine.h"
 #include "ondevice/memory_meter.h"
+#include "ondevice/section.h"
 
 namespace memcom {
 namespace {
@@ -308,6 +312,73 @@ TEST_F(FormatTest, IndexSectionPastEofToleratedAtOpen) {
   EXPECT_EQ(model.index_data(), nullptr);
   EXPECT_FALSE(model.index_bounds_error().empty());
   EXPECT_TRUE(model.load_tensor("out.bias").equals(Tensor::full({2}, 0.0f)));
+}
+
+TEST_F(FormatTest, GoldenBytesForPlanAndIndexSections) {
+  // Pins the on-disk format, which the round-trip tests (self-consistency
+  // only) cannot: any change to one byte of the container, the plan
+  // section or the index section changes the digest. Every build-time
+  // float operation is exact — batchnorm variances are powers of two far
+  // above the 1e-5 epsilon, and each catalog item is its own k-means
+  // cluster — so the digest does not depend on compiler or kernel family.
+  const std::string path = temp_path();
+  ModelWriter writer(path);
+  writer.set_model_identity("golden", 2);
+  writer.set_metadata("arch", "ranking");
+  writer.set_metadata("technique", "uncompressed");
+  writer.set_metadata_int("vocab", 4);
+  writer.set_metadata_int("embed_dim", 2);
+  writer.set_metadata_int("knob", 0);
+  writer.set_metadata_int("output_dim", 2);
+  writer.add_tensor("emb.table", Tensor::from_vector(
+                                     {4, 2}, {1, 2, -1, 0.5f, 0, 3, 4, -2}));
+  writer.add_tensor("bn1.gamma", Tensor::from_vector({2}, {2, 4}));
+  writer.add_tensor("bn1.beta", Tensor::from_vector({2}, {1, -1}));
+  writer.add_tensor("bn1.mean", Tensor::from_vector({2}, {8, 4}));
+  writer.add_tensor("bn1.var", Tensor::from_vector({2}, {256, 1024}));
+  writer.add_tensor("out.weight",
+                    Tensor::from_vector({2, 2}, {0.5f, -0.25f, 1, 0.75f}));
+  writer.add_tensor("out.bias", Tensor::from_vector({2}, {0.125f, -0.5f}));
+  writer.set_emit_plan();
+  writer.set_emit_catalog_index(true, /*clusters=*/2);
+  const std::uint64_t written = writer.finish();
+
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+  ASSERT_EQ(bytes.size(), written);
+  // Digest of the file as first written; a deliberate format change must
+  // bump the container or section version and update it.
+  EXPECT_EQ(section_checksum(bytes.data(), bytes.size()),
+            0xAED1340E4B952CF9ULL);
+}
+
+TEST_F(FormatTest, RejectedOpenReleasesItsMapping) {
+  // The constructor's checks run after mmap(2): a throwing open must still
+  // unmap the file, or every rejected publish leaks the whole mapping.
+  const std::string path = temp_path();
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << std::string(std::size_t{1} << 20, 'x');  // bad magic
+  }
+  auto mapped_regions = [] {
+    std::ifstream maps("/proc/self/maps");
+    std::size_t lines = 0;
+    for (std::string line; std::getline(maps, line);) {
+      ++lines;
+    }
+    return lines;
+  };
+  if (mapped_regions() == 0) {
+    GTEST_SKIP() << "/proc/self/maps is not available";
+  }
+  EXPECT_THROW(MmapModel{path}, std::runtime_error);
+  const std::size_t before = mapped_regions();
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_THROW(MmapModel{path}, std::runtime_error);
+  }
+  // Slack for unrelated allocator mappings; a leak adds one per open.
+  EXPECT_LE(mapped_regions(), before + 16);
 }
 
 TEST_F(FormatTest, DirectoryEntriesKeepFileOrderForStableIndices) {

@@ -306,6 +306,24 @@ TEST_F(McmInspectTest, ReportsStaleCatalogIndexWithReason) {
             std::string::npos);
 }
 
+TEST_F(McmInspectTest, RejectedFileExitsWithReason) {
+  {
+    std::ofstream out(path_, std::ios::binary);
+    out << std::string(4096, 'x');  // no .mcm magic
+  }
+  const ToolResult junk = run_tool("\"" + path_ + "\"");
+  EXPECT_EQ(junk.exit_code, 1) << junk.output;
+  EXPECT_NE(junk.output.find("error: "), std::string::npos) << junk.output;
+  EXPECT_NE(junk.output.find("MmapModel magic"), std::string::npos)
+      << junk.output;
+
+  const ToolResult missing = run_tool("\"" + path_ + ".absent\"");
+  EXPECT_EQ(missing.exit_code, 1) << missing.output;
+  EXPECT_NE(missing.output.find("error: "), std::string::npos);
+  EXPECT_NE(missing.output.find("cannot open"), std::string::npos)
+      << missing.output;
+}
+
 TEST_F(McmInspectTest, MissingArgumentFailsWithUsage) {
   const ToolResult result = run_tool("");
   EXPECT_EQ(result.exit_code, 2);

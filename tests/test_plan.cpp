@@ -43,7 +43,7 @@ void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
 void reseal_plan(std::vector<std::uint8_t>& file, std::uint64_t offset,
                  std::uint64_t size) {
   const std::uint64_t sum =
-      plan_checksum(file.data() + offset, static_cast<std::size_t>(size - 8));
+      section_checksum(file.data() + offset, static_cast<std::size_t>(size - 8));
   std::memcpy(file.data() + offset + size - 8, &sum, 8);
 }
 
@@ -156,22 +156,22 @@ TEST(PlanChecksumUnit, SensitiveToEveryBytePosition) {
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     bytes[i] = static_cast<std::uint8_t>(i * 11 + 3);
   }
-  const std::uint64_t base = plan_checksum(bytes.data(), bytes.size());
+  const std::uint64_t base = section_checksum(bytes.data(), bytes.size());
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     bytes[i] ^= 0x40;
-    EXPECT_NE(plan_checksum(bytes.data(), bytes.size()), base) << i;
+    EXPECT_NE(section_checksum(bytes.data(), bytes.size()), base) << i;
     bytes[i] ^= 0x40;
   }
-  EXPECT_EQ(plan_checksum(bytes.data(), bytes.size()), base);
+  EXPECT_EQ(section_checksum(bytes.data(), bytes.size()), base);
 }
 
 TEST(PlanChecksumUnit, LengthBoundRejectsZeroExtension) {
   // Trailing zeros change the checksum even though the word padding zero-
   // fills: a truncation that lands on zero bytes must not alias.
   std::vector<std::uint8_t> bytes(16, 0xAB);
-  const std::uint64_t base = plan_checksum(bytes.data(), bytes.size());
+  const std::uint64_t base = section_checksum(bytes.data(), bytes.size());
   bytes.push_back(0);
-  EXPECT_NE(plan_checksum(bytes.data(), bytes.size()), base);
+  EXPECT_NE(section_checksum(bytes.data(), bytes.size()), base);
 }
 
 // --- Round trip -------------------------------------------------------------

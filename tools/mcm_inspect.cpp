@@ -6,7 +6,10 @@
 // summary statistics per tensor.
 //
 //   ./mcm_inspect model.mcm [--stats]
+//
+// Exits 1 with "error: <reason>" when the reader rejects the file.
 #include <algorithm>
+#include <exception>
 #include <iostream>
 #include <vector>
 
@@ -18,7 +21,7 @@
 
 using namespace memcom;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags(argc, argv);
   if (flags.positional().empty()) {
     std::cerr << "usage: mcm_inspect <model.mcm> [--stats]\n";
@@ -69,14 +72,12 @@ int main(int argc, char** argv) {
   for (const std::string& name : model.tensor_names()) {
     first_blob = std::min(first_blob, model.entry(name).offset);
   }
-  const std::uint64_t plan_bytes =
-      model.has_plan_section() ? model.plan_size() : 0;
-  if (model.has_plan_section()) {
+  const std::uint64_t plan_bytes = model.plan_size();  // 0 when absent
+  const std::uint64_t index_bytes = model.index_size();
+  if (plan_bytes > 0) {
     first_blob = std::min(first_blob, model.plan_offset());
   }
-  const std::uint64_t index_bytes =
-      model.has_index_section() ? model.index_size() : 0;
-  if (model.has_index_section()) {
+  if (index_bytes > 0) {
     first_blob = std::min(first_blob, model.index_offset());
   }
   // Saturate: a stale v3/v4 header may declare a section size larger than
@@ -114,12 +115,6 @@ int main(int argc, char** argv) {
   const CatalogIndexDecodeResult index = decode_catalog_index(model);
   switch (index.status) {
     case PlanStatus::kValid: {
-      // Section format word straight off the prefix (magic, format,
-      // endian, flags — decode already validated it).
-      const std::uint32_t section_format =
-          index_bytes >= 16
-              ? *reinterpret_cast<const std::uint32_t*>(model.index_data() + 4)
-              : 0;
       std::vector<Index> sizes;
       sizes.reserve(static_cast<std::size_t>(index.index.clusters));
       for (Index c = 0; c < index.index.clusters; ++c) {
@@ -127,7 +122,7 @@ int main(int argc, char** argv) {
       }
       std::sort(sizes.begin(), sizes.end());
       std::cout << "catalog index: present (valid — section format v"
-                << section_format << ", " << index.index.clusters
+                << index.format_version << ", " << index.index.clusters
                 << " centroids over " << index.index.items << " items x "
                 << index.index.dim << " dims, cluster size min/median/max "
                 << sizes.front() << "/" << sizes[sizes.size() / 2] << "/"
@@ -171,4 +166,8 @@ int main(int argc, char** argv) {
     std::cout << stats.to_string();
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cout.flush();
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }
