@@ -1,15 +1,8 @@
-// Serving throughput benchmark: closed-loop batch-1 drain (ServingHarness)
-// vs the open-loop async micro-batching pipeline (AsyncServer), per
-// compression technique, with a micro-batch-size sweep and hot-row cache
-// hit rates.
-//
-// Two QPS figures per row:
-//   * qps          — real wall clock of the drain (bounded by host cores
-//                    and, for paced runs, by the offered arrival rate);
-//   * modeled_qps  — simulated-device throughput from the engines' modeled
-//                    per-forward latency (compute + per-op dispatch). This
-//                    is where micro-batching wins: a micro-batch of B pays
-//                    the dispatch overhead once instead of B times.
+// Serving throughput benchmark: the AsyncServer pipeline per compression
+// technique, with a micro-batch-size sweep (max_batch 1 is the batch-1
+// drain) and hot-row cache hit rates. Every throughput figure is real wall
+// clock (`qps`, bounded by host cores and, for paced runs, by the offered
+// arrival rate; `goodput_qps` counts deadline-met completions only).
 //
 // Unlike micro_lookup/micro_ops this does not need Google Benchmark — it is
 // a plain binary driven by core/flags.h, so it builds everywhere the engine
@@ -45,14 +38,14 @@ namespace {
 
 struct ResultRow {
   std::string technique;
-  std::string mode;  // "closed" | "async" | "multi" | "residency" | "sched"
+  // "async" | "multi" | "sched" | "residency" | "session" | "cold"
+  std::string mode;
   std::string dtype = "f32";
   int threads = 0;
-  int shards = 0;            // scheduler shards (0 for closed-loop rows)
-  Index max_batch = 1;       // micro-batch bound (1 for closed-loop)
+  int shards = 0;            // scheduler shards (0 for per-model/cold rows)
+  Index max_batch = 1;       // micro-batch bound
   double offered_qps = 0;    // open-loop arrival rate (0 = unthrottled)
   double qps = 0;            // real wall-clock throughput
-  double modeled_qps = 0;    // simulated-device throughput
   double p50_ms = 0, p95_ms = 0, p99_ms = 0, mean_ms = 0;
   double queue_wait_p50_ms = 0, queue_wait_p95_ms = 0;
   double service_p50_ms = 0, service_p95_ms = 0;
@@ -95,7 +88,6 @@ ResultRow make_row(const std::string& technique, const std::string& mode,
   row.max_batch = max_batch;
   row.offered_qps = offered_qps;
   row.qps = report.qps;
-  row.modeled_qps = report.modeled_qps;
   row.shed_rate = report.shed_rate;
   row.deadline_miss_rate = report.deadline_miss_rate;
   row.goodput_qps = report.goodput_qps;
@@ -129,7 +121,6 @@ void write_json(const std::string& path, unsigned hardware_threads,
         << "\"max_batch\": " << r.max_batch << ", "
         << "\"offered_qps\": " << r.offered_qps << ", "
         << "\"qps\": " << r.qps << ", "
-        << "\"modeled_qps\": " << r.modeled_qps << ", "
         << "\"p50_ms\": " << r.p50_ms << ", "
         << "\"p95_ms\": " << r.p95_ms << ", "
         << "\"p99_ms\": " << r.p99_ms << ", "
@@ -197,8 +188,7 @@ int main(int argc, char** argv) {
             << "qps (hardware threads: " << hw_threads << ")\n";
   if (hw_threads < static_cast<unsigned>(max_threads)) {
     std::cout << "NOTE: only " << hw_threads << " hardware thread(s) visible;"
-              << " real wall-clock QPS cannot scale with threads here —"
-              << " compare modeled_qps for the simulated-device story.\n";
+              << " real wall-clock QPS cannot scale with threads here.\n";
   }
   std::cout << "\n";
 
@@ -217,11 +207,9 @@ int main(int argc, char** argv) {
     requests.push_back(std::move(history));
   }
 
-  TextTable closed_table({"technique", "threads", "qps", "modeled qps",
-                          "p50 ms", "p95 ms", "p99 ms", "resident MB"});
-  TextTable async_table({"technique", "batch<=", "offered", "qps",
-                         "modeled qps", "p50 ms", "wait p95", "svc p95",
-                         "mean batch", "hit%", "resident MB"});
+  TextTable async_table({"technique", "batch<=", "offered", "qps", "p50 ms",
+                         "wait p95", "svc p95", "mean batch", "hit%",
+                         "resident MB"});
   std::vector<ResultRow> rows;
 
   for (const TechniqueKind kind :
@@ -240,32 +228,7 @@ int main(int argc, char** argv) {
     model.export_mcm(path, DType::kF32);
     const MmapModel mapped(path);
 
-    // --- Closed-loop baseline (batch-1 atomic-cursor drain) --------------
-    double closed_modeled_qps = 0.0;
-    std::vector<int> thread_counts = {1};
-    if (max_threads > 1) {
-      thread_counts.push_back(max_threads);
-    }
-    for (const int threads : thread_counts) {
-      ServingHarness harness(mapped, tflite_profile(), threads);
-      // Warm the page cache / branch predictors before measuring.
-      harness.serve(requests, 1);
-      const ServingReport report = harness.serve(requests, repeat);
-      if (threads == max_threads) {
-        closed_modeled_qps = report.modeled_qps;
-      }
-      const ResultRow row =
-          make_row(technique_name(kind), "closed", 1, 0.0, report,
-                   harness.max_resident_megabytes());
-      rows.push_back(row);
-      closed_table.add_row(
-          {row.technique, std::to_string(threads), format_float(row.qps, 0),
-           format_float(row.modeled_qps, 0), format_float(row.p50_ms, 4),
-           format_float(row.p95_ms, 4), format_float(row.p99_ms, 4),
-           format_float(row.resident_mb, 2)});
-    }
-
-    // --- Async micro-batching sweep --------------------------------------
+    // --- Micro-batching sweep (max_batch 1 = the batch-1 drain) -----------
     for (const Index max_batch : {Index{1}, Index{8}, Index{32}}) {
       AsyncServerConfig server_config;
       server_config.threads = max_threads;
@@ -286,30 +249,21 @@ int main(int argc, char** argv) {
       async_table.add_row(
           {row.technique, std::to_string(max_batch),
            arrival_qps > 0 ? format_float(arrival_qps, 0) : "max",
-           format_float(row.qps, 0), format_float(row.modeled_qps, 0),
-           format_float(row.p50_ms, 4),
+           format_float(row.qps, 0), format_float(row.p50_ms, 4),
            format_float(row.queue_wait_p95_ms, 4),
            format_float(row.service_p95_ms, 4),
            format_float(row.mean_batch, 1),
            format_float(row.cache_hit_rate * 100.0, 1),
            format_float(row.resident_mb, 2)});
-      if (max_batch >= 8 && closed_modeled_qps > 0.0) {
-        std::cout << "[" << technique_name(kind) << "] async batch<="
-                  << max_batch << " vs closed-loop batch-1 (both "
-                  << max_threads << " threads): modeled "
-                  << format_float(report.modeled_qps / closed_modeled_qps, 2)
-                  << "x\n";
-      }
     }
     std::filesystem::remove(path);
   }
 
   // --- Multi-tenant: two models behind ONE AsyncServer, interleaved ------
   // traffic routed per request through the ModelRegistry; the JSON gains a
-  // "multi" row per model with its modeled QPS so CI tracks multi-tenant
-  // throughput alongside the single-model sweeps.
-  TextTable multi_table({"model", "requests", "modeled qps", "p50 ms",
-                         "hit%"});
+  // "multi" row per model with its wall-clock share so CI tracks
+  // multi-tenant throughput alongside the single-model sweeps.
+  TextTable multi_table({"model", "requests", "qps", "p50 ms", "hit%"});
   {
     ModelRegistry registry;
     std::vector<std::string> ids;
@@ -359,13 +313,11 @@ int main(int argc, char** argv) {
       row.threads = report.threads;
       row.max_batch = 8;
       row.offered_qps = arrival_qps;
-      // Per-model wall share of the drain; the modeled figure is the
-      // per-model simulated-device throughput.
+      // Per-model wall share of the drain.
       row.qps = report.wall_ms > 0.0
                     ? static_cast<double>(model.requests) /
                           (report.wall_ms / 1000.0)
                     : 0.0;
-      row.modeled_qps = model.modeled_qps;
       row.p50_ms = model.latency.p50_ms;
       row.p95_ms = model.latency.p95_ms;
       row.p99_ms = model.latency.p99_ms;
@@ -378,8 +330,7 @@ int main(int argc, char** argv) {
       rows.push_back(row);
       multi_table.add_row(
           {model.model_id, std::to_string(model.requests),
-           format_float(model.modeled_qps, 0),
-           format_float(model.latency.p50_ms, 4),
+           format_float(row.qps, 0), format_float(model.latency.p50_ms, 4),
            model.cache.enabled
                ? format_float(model.cache.hit_rate() * 100.0, 1)
                : "off"});
@@ -496,12 +447,12 @@ int main(int argc, char** argv) {
   }
 
   // --- Quantized residency: i8 vs i4g on a movielens Table-3 model -------
-  // Same memcom model exported at two embedding precisions; the closed-loop
+  // Same memcom model exported at two embedding precisions; the batch-1
   // drain meters exactly the bytes each forward touches, so with correct
   // sub-byte span accounting the 4-bit groupwise export must show a smaller
   // resident footprint than int8 (nibbles + per-group f32 scales ~ 0.625x).
-  TextTable residency_table({"dtype", "kernel", "qps", "modeled qps",
-                             "p50 ms", "resident MB"});
+  TextTable residency_table({"dtype", "kernel", "qps", "p50 ms",
+                             "resident MB"});
   {
     const Index ml_vocab = smoke ? 2000 : 10000;  // paper movielens vocab
     const Index ml_embed = smoke ? 32 : 64;
@@ -539,18 +490,23 @@ int main(int argc, char** argv) {
       model.export_mcm(path, v.dtype, /*model_name=*/"", /*model_version=*/1,
                        v.group_size);
       const MmapModel mapped(path);
-      ServingHarness harness(mapped, tflite_profile(), max_threads);
-      harness.serve(ml_requests, 1);  // warm-up
-      const ServingReport report = harness.serve(ml_requests, repeat);
+      AsyncServerConfig server_config;
+      server_config.threads = max_threads;
+      server_config.max_batch = 1;
+      server_config.max_delay_us = 0.0;
+      AsyncServer server(mapped, tflite_profile(), server_config);
+      server.serve(ml_requests, 1);  // warm-up
+      const ServingReport report = server.serve(ml_requests, repeat);
       ResultRow row =
           make_row("memcom-movielens", "residency", 1, 0.0, report,
-                   harness.max_resident_megabytes());
+                   server.max_resident_megabytes());
       row.dtype = v.label;
       rows.push_back(row);
       residency_table.add_row(
-          {v.label, harness.compiled().kernel_name(),
-           format_float(row.qps, 0), format_float(row.modeled_qps, 0),
-           format_float(row.p50_ms, 4), format_float(row.resident_mb, 3)});
+          {v.label,
+           server.registry().acquire(server.default_model_id())->kernel_name(),
+           format_float(row.qps, 0), format_float(row.p50_ms, 4),
+           format_float(row.resident_mb, 3)});
       std::filesystem::remove(path);
     }
   }
@@ -756,8 +712,6 @@ int main(int argc, char** argv) {
     std::filesystem::remove(path);
   }
 
-  std::cout << "\nclosed-loop (batch-1, no cache):\n"
-            << closed_table.to_string();
   std::cout << "\nasync micro-batching (open-loop, hot-row cache "
             << cache_kb << " KiB/engine):\n"
             << async_table.to_string();
@@ -768,7 +722,7 @@ int main(int argc, char** argv) {
             << "overload, deadline " << deadline_us << " us):\n"
             << sched_table.to_string();
   std::cout << "\nquantized residency (memcom, movielens table-3 dims, "
-            << "closed-loop batch-1):\n"
+            << "batch-1):\n"
             << residency_table.to_string();
   std::cout << "\nsession-based next-item serving (Zipf sessions, top-"
             << 10 << " over the full catalog, store below session count):\n"

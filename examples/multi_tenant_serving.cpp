@@ -98,12 +98,10 @@ int main(int argc, char** argv) {
 
   const auto print_report = [](const char* title,
                                const ServingReport& report) {
-    TextTable table({"model", "version", "requests", "modeled qps", "p50 ms",
-                     "hit%"});
+    TextTable table({"model", "version", "requests", "p50 ms", "hit%"});
     for (const ModelReport& model : report.per_model) {
       table.add_row({model.model_id, std::to_string(model.version),
                      std::to_string(model.requests),
-                     format_float(model.modeled_qps, 0),
                      format_float(model.latency.p50_ms, 4),
                      model.cache.enabled
                          ? format_float(model.cache.hit_rate() * 100.0, 1)

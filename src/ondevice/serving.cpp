@@ -15,171 +15,6 @@ namespace {
 using Clock = SteadyClock;
 }  // namespace
 
-ServingHarness::ServingHarness(const MmapModel& model,
-                               const DeviceProfile& profile, int threads,
-                               std::size_t cache_budget_bytes)
-    : ServingHarness(std::make_shared<const CompiledModel>(model), profile,
-                     threads, cache_budget_bytes) {}
-
-ServingHarness::ServingHarness(std::shared_ptr<const CompiledModel> compiled,
-                               const DeviceProfile& profile, int threads,
-                               std::size_t cache_budget_bytes)
-    : compiled_(std::move(compiled)) {
-  check(compiled_ != nullptr, "serving: null compiled model");
-  // A non-positive pool would leave serve() with no one to drain the cursor
-  // (and historically made output_dim() dereference an empty engine list).
-  check(threads > 0, "serving: thread count must be positive");
-  engines_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    // Every worker shares the ONE plan; only per-thread state is built here.
-    engines_.push_back(std::make_unique<InferenceEngine>(compiled_, profile));
-    if (cache_budget_bytes > 0) {
-      engines_.back()->enable_row_cache(cache_budget_bytes);
-    }
-  }
-}
-
-namespace {
-RowCacheStats aggregate_engine_cache_stats(
-    const std::vector<std::unique_ptr<InferenceEngine>>& engines) {
-  RowCacheStats total;
-  for (const auto& engine : engines) {
-    const RowCacheStats s = engine->row_cache_stats();
-    if (!s.enabled) {
-      continue;
-    }
-    total.enabled = true;
-    total.hits += s.hits;
-    total.misses += s.misses;
-    // Each worker owns a private slab, so the fleet pays the sum (unlike
-    // the shared weight pages, where the footprint is the max).
-    total.resident_bytes += s.resident_bytes;
-    total.capacity_bytes += s.capacity_bytes;
-  }
-  return total;
-}
-
-// A drain's report must cover THAT drain: hit/miss counters are lifetime
-// totals per engine, so subtract the pre-drain snapshot (resident/capacity
-// stay absolute — they describe the slab, not the traffic).
-RowCacheStats cache_stats_delta(const RowCacheStats& before,
-                                const RowCacheStats& after) {
-  RowCacheStats delta = after;
-  delta.hits = after.hits - before.hits;
-  delta.misses = after.misses - before.misses;
-  return delta;
-}
-}  // namespace
-
-ServingReport ServingHarness::serve(
-    const std::vector<std::vector<std::int32_t>>& requests, int repeat,
-    Tensor* logits_out) {
-  check(repeat > 0, "serving: repeat must be positive");
-  const std::size_t unique = requests.size();
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(unique) * static_cast<std::uint64_t>(repeat);
-  const Index dim = output_dim();
-  if (logits_out != nullptr) {
-    *logits_out = Tensor({static_cast<Index>(unique), dim});
-  }
-
-  ServingReport report;
-  report.threads = threads();
-  report.requests = total;
-  report.plan_adopted = compiled_->plan_adopted();
-  report.plan_compile_ms = compiled_->compile_ms();
-  report.plan_fallback_reason = compiled_->plan_fallback_reason();
-  if (total == 0) {
-    return report;
-  }
-  const RowCacheStats cache_before = aggregate_engine_cache_stats(engines_);
-
-  std::atomic<std::uint64_t> cursor{0};
-  std::vector<std::vector<double>> samples(engines_.size());
-  std::vector<double> modeled(engines_.size(), 0.0);
-  // Reserve ~2× the fair share per worker: enough headroom for work-stealing
-  // imbalance without pre-allocating threads×total samples on large drains.
-  // A rare mid-drain realloc happens between timing windows, so it can only
-  // nudge aggregate wall_ms/QPS, never an individual latency sample.
-  const std::uint64_t per_worker = std::min(
-      total, total / static_cast<std::uint64_t>(engines_.size()) * 2 + 64);
-  for (auto& s : samples) {
-    s.reserve(static_cast<std::size_t>(per_worker));
-  }
-
-  const auto run_worker = [&](std::size_t worker) {
-    InferenceEngine& engine = *engines_[worker];
-    std::vector<double>& lat = samples[worker];
-    double busy_ms = 0.0;
-    for (;;) {
-      const std::uint64_t i =
-          cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= total) {
-        break;
-      }
-      const std::size_t r = static_cast<std::size_t>(i % unique);
-      const auto& history = requests[r];
-      const auto start = Clock::now();
-      const InferenceView view = engine.run_view(history);
-      lat.push_back(elapsed_ms(start));
-      busy_ms += view.total_ms;
-      // Only the first repetition writes logits, so rows are written by
-      // exactly one worker (repeat passes would produce identical bytes).
-      if (logits_out != nullptr && i < unique) {
-        std::memcpy(&logits_out->at2(static_cast<Index>(r), 0), view.logits,
-                    static_cast<std::size_t>(dim) * sizeof(float));
-      }
-    }
-    modeled[worker] = busy_ms;
-  };
-
-  const auto wall_start = Clock::now();
-  if (engines_.size() == 1) {
-    run_worker(0);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(engines_.size());
-    for (std::size_t w = 0; w < engines_.size(); ++w) {
-      workers.emplace_back(run_worker, w);
-    }
-    for (std::thread& t : workers) {
-      t.join();
-    }
-  }
-  report.wall_ms = elapsed_ms(wall_start);
-
-  std::vector<double> all;
-  all.reserve(static_cast<std::size_t>(total));
-  for (const auto& s : samples) {
-    all.insert(all.end(), s.begin(), s.end());
-  }
-  report.latency = latency_stats_from_samples(std::move(all));
-  report.qps = report.wall_ms > 0.0
-                   ? static_cast<double>(total) / (report.wall_ms / 1000.0)
-                   : 0.0;
-  report.modeled_busy_ms =
-      *std::max_element(modeled.begin(), modeled.end());
-  report.modeled_qps =
-      report.modeled_busy_ms > 0.0
-          ? static_cast<double>(total) / (report.modeled_busy_ms / 1000.0)
-          : 0.0;
-  report.cache =
-      cache_stats_delta(cache_before, aggregate_engine_cache_stats(engines_));
-  return report;
-}
-
-double ServingHarness::max_resident_megabytes() const {
-  double max_mb = 0.0;
-  for (const auto& engine : engines_) {
-    max_mb = std::max(max_mb, engine->resident_megabytes());
-  }
-  // The plan's pre-dequantized buffers are resident exactly once for the
-  // whole fleet (compile-once sharing); the per-engine figure above covers
-  // only per-thread state.
-  return max_mb +
-         static_cast<double>(plan_resident_bytes()) / (1024.0 * 1024.0);
-}
-
 // ---------------------------------------------------------------------------
 // AsyncServer
 
@@ -744,7 +579,6 @@ void AsyncServer::execute_batch(std::size_t worker, BatchTask& task,
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       WorkerStats& stats = worker_stats_[worker];
-      stats.modeled_busy_ms += batch.total_ms;
       ++stats.batches;
       stats.ranked_rows += batch.ranked_rows;
       stats.catalog_rows += batch.catalog_rows;
@@ -753,7 +587,6 @@ void AsyncServer::execute_batch(std::size_t worker, BatchTask& task,
       ModelLane& lane = stats.models[task.model_id];
       lane.version = task.version;
       ++lane.batches;
-      lane.modeled_busy_ms += batch.total_ms;
       lane.cache_hits += batch.cache_hits;
       lane.cache_misses += batch.cache_misses;
       const RowCacheStats cache = context.row_cache_stats();
@@ -847,11 +680,19 @@ ServingReport AsyncServer::serve(
   std::vector<RequestRef> refs;
   refs.reserve(requests.size());
   for (const auto& history : requests) {
-    refs.push_back(RequestRef{&default_model_, &history});
+    refs.push_back(RequestRef{&default_model_, &history, nullptr});
   }
   std::vector<std::vector<float>> rows;
-  ServingReport report =
-      drive(refs, repeat, arrival_qps, logits_out != nullptr ? &rows : nullptr);
+  if (logits_out != nullptr) {
+    rows.assign(requests.size(), {});
+  }
+  ServingReport report = drive(
+      refs, repeat, arrival_qps, 0,
+      logits_out == nullptr
+          ? ResultSink()
+          : [&rows](std::size_t r, AsyncResult&& result) {
+              rows[r] = std::move(result.logits);
+            });
   if (logits_out != nullptr) {
     // Row width comes from the rows actually SERVED, not from the current
     // registry state: a concurrent swap()/retire() of the default model
@@ -885,24 +726,51 @@ ServingReport AsyncServer::serve(const std::vector<RoutedRequest>& requests,
   std::vector<RequestRef> refs;
   refs.reserve(requests.size());
   for (const RoutedRequest& r : requests) {
-    refs.push_back(RequestRef{&r.model_id, &r.history});
+    refs.push_back(RequestRef{&r.model_id, &r.history, nullptr});
   }
-  return drive(refs, repeat, arrival_qps, logits_out);
+  if (logits_out != nullptr) {
+    logits_out->assign(requests.size(), {});
+  }
+  return drive(refs, repeat, arrival_qps, 0,
+               logits_out == nullptr
+                   ? ResultSink()
+                   : [logits_out](std::size_t r, AsyncResult&& result) {
+                       (*logits_out)[r] = std::move(result.logits);
+                     });
 }
 
-ServingReport AsyncServer::drive(
-    const std::vector<RequestRef>& requests, int repeat, double arrival_qps,
-    std::vector<std::vector<float>>* logits_out) {
+ServingReport AsyncServer::serve_sessions(
+    const std::vector<SessionEvent>& events, Index k,
+    std::vector<std::vector<Index>>* topk_out) {
+  check(config_.session_capacity > 0,
+        "AsyncServer: serve_sessions needs session_capacity > 0");
+  std::vector<RequestRef> refs;
+  refs.reserve(events.size());
+  for (const SessionEvent& e : events) {
+    refs.push_back(RequestRef{&default_model_, nullptr, &e});
+  }
+  if (topk_out != nullptr) {
+    topk_out->assign(events.size(), {});
+  }
+  return drive(refs, 1, 0.0, k,
+               topk_out == nullptr
+                   ? ResultSink()
+                   : [topk_out](std::size_t r, AsyncResult&& result) {
+                       (*topk_out)[r] = std::move(result.top_ids);
+                     });
+}
+
+ServingReport AsyncServer::drive(const std::vector<RequestRef>& requests,
+                                 int repeat, double arrival_qps, Index k,
+                                 const ResultSink& sink) {
   check(repeat > 0, "AsyncServer: repeat must be positive");
   const std::size_t unique = requests.size();
   const std::uint64_t total =
       static_cast<std::uint64_t>(unique) * static_cast<std::uint64_t>(repeat);
-  if (logits_out != nullptr) {
-    logits_out->assign(unique, {});
-  }
 
   ServingReport report;
   report.threads = threads();
+  report.shards = shards();
   report.requests = total;
   // Cold-start slice: the default model's CURRENT plan (may legitimately
   // be gone mid-drain if a test retires it; report then stays zeroed).
@@ -912,6 +780,8 @@ ServingReport AsyncServer::drive(
     report.plan_fallback_reason = compiled->plan_fallback_reason();
   }
   if (total == 0) {
+    report.active_sessions = active_sessions();
+    report.session_evictions = evicted_sessions();
     return report;
   }
   reset_stats();
@@ -957,7 +827,10 @@ ServingReport AsyncServer::drive(
       }
     }
     const RequestRef& r = requests[static_cast<std::size_t>(i % unique)];
-    futures.push_back(submit(*r.model_id, *r.history));
+    futures.push_back(r.event != nullptr
+                          ? submit_next_item(*r.model_id, r.event->session_id,
+                                             r.event->item, k)
+                          : submit(*r.model_id, *r.history));
   }
 
   std::uint64_t shed_count = 0;
@@ -967,97 +840,26 @@ ServingReport AsyncServer::drive(
     AsyncResult result = futures[static_cast<std::size_t>(i)].get();
     if (result.status == RequestStatus::kShed) {
       ++shed_count;
-    } else if (result.deadline_missed) {
+      continue;
+    }
+    if (result.deadline_missed) {
       ++miss_count;
     } else {
       ++ok_in_slo;  // no deadline configured counts as within SLO
     }
-    if (logits_out != nullptr && i < unique &&
-        result.status == RequestStatus::kOk) {
-      (*logits_out)[static_cast<std::size_t>(i)] = std::move(result.logits);
+    if (sink && i < unique) {
+      sink(static_cast<std::size_t>(i), std::move(result));
     }
   }
   report.wall_ms = elapsed_ms(wall_start);
   report.qps = report.wall_ms > 0.0
                    ? static_cast<double>(total) / (report.wall_ms / 1000.0)
                    : 0.0;
-  report.shards = static_cast<int>(shards_.size());
   report.steals = steals_.load(std::memory_order_relaxed) - steals_before;
   report.late_arrivals = late;
   report.shed = shed_count;
   report.shed_rate =
-      total > 0 ? static_cast<double>(shed_count) / static_cast<double>(total)
-                : 0.0;
-  const std::uint64_t executed = total - shed_count;
-  report.deadline_misses = miss_count;
-  report.deadline_miss_rate =
-      executed > 0
-          ? static_cast<double>(miss_count) / static_cast<double>(executed)
-          : 0.0;
-  report.goodput_qps =
-      report.wall_ms > 0.0
-          ? static_cast<double>(ok_in_slo) / (report.wall_ms / 1000.0)
-          : 0.0;
-  collect_stats(report, total);
-  return report;
-}
-
-ServingReport AsyncServer::serve_sessions(
-    const std::vector<SessionEvent>& events, Index k,
-    std::vector<std::vector<Index>>* topk_out) {
-  check(config_.session_capacity > 0,
-        "AsyncServer: serve_sessions needs session_capacity > 0");
-  const std::uint64_t total = events.size();
-  if (topk_out != nullptr) {
-    topk_out->assign(events.size(), {});
-  }
-  ServingReport report;
-  report.threads = threads();
-  report.requests = total;
-  report.shards = static_cast<int>(shards_.size());
-  if (const auto compiled = registry_->acquire(default_model_)) {
-    report.plan_adopted = compiled->plan_adopted();
-    report.plan_compile_ms = compiled->compile_ms();
-    report.plan_fallback_reason = compiled->plan_fallback_reason();
-  }
-  if (total == 0) {
-    report.active_sessions = active_sessions();
-    report.session_evictions = evicted_sessions();
-    return report;
-  }
-  reset_stats();
-
-  const std::uint64_t steals_before = steals_.load(std::memory_order_relaxed);
-  std::vector<std::future<AsyncResult>> futures;
-  futures.reserve(events.size());
-  const auto wall_start = Clock::now();
-  for (const SessionEvent& e : events) {
-    futures.push_back(
-        submit_next_item(default_model_, e.session_id, e.item, k));
-  }
-  std::uint64_t shed_count = 0;
-  std::uint64_t miss_count = 0;
-  std::uint64_t ok_in_slo = 0;
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    AsyncResult result = futures[i].get();
-    if (result.status == RequestStatus::kShed) {
-      ++shed_count;
-    } else if (result.deadline_missed) {
-      ++miss_count;
-    } else {
-      ++ok_in_slo;
-    }
-    if (topk_out != nullptr && result.status == RequestStatus::kOk) {
-      (*topk_out)[i] = std::move(result.top_ids);
-    }
-  }
-  report.wall_ms = elapsed_ms(wall_start);
-  report.qps = report.wall_ms > 0.0
-                   ? static_cast<double>(total) / (report.wall_ms / 1000.0)
-                   : 0.0;
-  report.steals = steals_.load(std::memory_order_relaxed) - steals_before;
-  report.shed = shed_count;
-  report.shed_rate = static_cast<double>(shed_count) / static_cast<double>(total);
+      static_cast<double>(shed_count) / static_cast<double>(total);
   const std::uint64_t executed = total - shed_count;
   report.deadline_misses = miss_count;
   report.deadline_miss_rate =
@@ -1073,6 +875,7 @@ ServingReport AsyncServer::serve_sessions(
 }
 
 void AsyncServer::collect_stats(ServingReport& report, std::uint64_t total) {
+  std::uint64_t executed = 0;
   std::vector<double> waits, services, totals, session_totals;
   waits.reserve(static_cast<std::size_t>(total));
   services.reserve(static_cast<std::size_t>(total));
@@ -1096,16 +899,13 @@ void AsyncServer::collect_stats(ServingReport& report, std::uint64_t total) {
       report.scanned_rows += stats.scanned_rows;
       report.scanned_bytes += stats.scanned_bytes;
       report.batches += stats.batches;
-      report.modeled_busy_ms =
-          std::max(report.modeled_busy_ms, stats.modeled_busy_ms);
+      executed += stats.requests;
       for (const auto& [model_id, lane] : stats.models) {
         ModelReport& model = models[model_id];
         model.model_id = model_id;
         model.version = std::max(model.version, lane.version);
         model.requests += lane.requests;
         model.batches += lane.batches;
-        model.modeled_busy_ms =
-            std::max(model.modeled_busy_ms, lane.modeled_busy_ms);
         // Per-tenant footprint: peak per-worker context state plus the
         // plan, which is shared by every worker and counted once.
         model.resident_mb = std::max(
@@ -1137,13 +937,10 @@ void AsyncServer::collect_stats(ServingReport& report, std::uint64_t total) {
           ? 1.0 - static_cast<double>(report.scanned_rows) /
                       static_cast<double>(report.catalog_rows)
           : 0.0;
+  // Shed requests never ride a batch: divide what actually executed.
   report.mean_batch =
       report.batches > 0
-          ? static_cast<double>(total) / static_cast<double>(report.batches)
-          : 0.0;
-  report.modeled_qps =
-      report.modeled_busy_ms > 0.0
-          ? static_cast<double>(total) / (report.modeled_busy_ms / 1000.0)
+          ? static_cast<double>(executed) / static_cast<double>(report.batches)
           : 0.0;
   for (auto& [model_id, model] : models) {
     model.latency =
@@ -1152,11 +949,6 @@ void AsyncServer::collect_stats(ServingReport& report, std::uint64_t total) {
                            ? static_cast<double>(model.requests) /
                                  static_cast<double>(model.batches)
                            : 0.0;
-    model.modeled_qps =
-        model.modeled_busy_ms > 0.0
-            ? static_cast<double>(model.requests) /
-                  (model.modeled_busy_ms / 1000.0)
-            : 0.0;
     report.cache.enabled = report.cache.enabled || model.cache.enabled;
     report.cache.hits += model.cache.hits;
     report.cache.misses += model.cache.misses;

@@ -1,50 +1,47 @@
-// Serving harnesses over the on-device inference engine.
+// AsyncServer: the serving loop over the on-device inference engine.
 //
-// Both execution models share compiled plans instead of recompiling per
-// worker: a CompiledModel is built ONCE per model file and every worker
+// One worker pool serves every drain. Plans are shared, not recompiled per
+// worker: a CompiledModel is built ONCE per model version and every worker
 // executes it through a private ExecutionContext (scratch arena, memory
-// meter, optional hot-row cache). The plan's pre-dequantized buffers are
-// therefore paid for once per model version, not once per thread — see
-// plan_resident_bytes().
+// meter, optional hot-row cache), so a plan's pre-dequantized buffers are
+// paid for once per version, not once per thread.
 //
-//   * ServingHarness — CLOSED-LOOP drain over ONE model: workers pull
-//     requests off a lock-free atomic cursor as fast as they complete them.
-//     Measures the peak batch-1 throughput of the fast path.
+// The pipeline is SHARDED and multi-tenant: producers enqueue requests
+// (each optionally routed to a `model_id`) into one of `shards` bounded
+// RequestQueues (shard = hash(model_id), so a model's traffic forms dense
+// micro-batches on one shard), a per-shard batch former turns them into
+// PER-MODEL dynamic micro-batches, and worker threads execute each
+// micro-batch through the fused run_batch path. A worker is pinned to a
+// primary shard but STEALS formed batches from other shards whenever its
+// own dispatch queue is empty, so a skewed model mix cannot strand capacity
+// on an idle shard. A closed-loop batch-1 drain is the same pipeline at
+// max_batch = 1, max_delay_us = 0.
 //
-//   * AsyncServer — OPEN-LOOP multi-tenant pipeline, SHARDED: producers
-//     enqueue requests (each optionally routed to a `model_id`) into one of
-//     `shards` bounded RequestQueues (shard = hash(model_id), so a model's
-//     traffic forms dense micro-batches on one shard), a per-shard batch
-//     former turns them into PER-MODEL dynamic micro-batches, and worker
-//     threads execute each micro-batch through the fused run_batch path.
-//     A worker is pinned to a primary shard but STEALS formed batches from
-//     other shards whenever its own dispatch queue is empty, so a skewed
-//     model mix cannot strand capacity on an idle shard.
+// Deadline awareness runs end to end: every request carries a deadline
+// (default `deadline_us` after enqueue; 0 = none). A shard flushes a
+// micro-batch EARLY once the oldest member's remaining slack drops below
+// the shard's projected service time (SLO-driven flush — the fixed
+// `max_delay_us` stays as an upper bound), and completions past their
+// deadline are counted as misses. With `shed` enabled the front door
+// applies admission control: once a shard's queue-wait p99 estimate
+// exceeds a request's deadline (and real backlog confirms it),
+// `try_submit` rejects and `submit` fails fast with a future that resolves
+// to RequestStatus::kShed — bounded-latency goodput instead of unbounded
+// queueing.
 //
-//     Deadline awareness runs end to end: every request carries a deadline
-//     (default `deadline_us` after enqueue; 0 = none). A shard flushes a
-//     micro-batch EARLY once the oldest member's remaining slack drops
-//     below the shard's projected service time (SLO-driven flush — the
-//     fixed `max_delay_us` stays as an upper bound), and completions past
-//     their deadline are counted as misses. With `shed` enabled the front
-//     door applies admission control: once a shard's queue-wait p99
-//     estimate exceeds a request's deadline (and real backlog confirms
-//     it), `try_submit` rejects and `submit` fails fast with a future that
-//     resolves to RequestStatus::kShed — bounded-latency goodput instead
-//     of unbounded queueing.
+// Models live in a ModelRegistry; a `swap()` there is zero-downtime:
+// micro-batches pin their model version at formation, in-flight work
+// finishes on the old version, new batches pick up the new one, and the
+// old plan (plus its mmap) is destroyed when its refcount drains.
+// Worker-side hot-row caches are rebuilt cold on the first batch of a new
+// version so stale rows can never serve.
 //
-//     Models live in a ModelRegistry; a `swap()` there is
-//     zero-downtime: micro-batches pin their model version at formation,
-//     in-flight work finishes on the old version, new batches pick up the
-//     new one, and the old plan (plus its mmap) is destroyed when its
-//     refcount drains. Worker-side hot-row caches are rebuilt cold on the
-//     first batch of a new version so stale rows can never serve.
-//
-// Both report real wall-clock QPS and a modeled-device QPS derived from the
-// engines' simulated per-forward latency (which includes the profile's
-// dispatch overhead — this is where micro-batching visibly wins; real wall
-// clock on a shared host measures mostly the simulator itself). The async
-// report additionally breaks requests/latency/cache down per model id.
+// The drivers serve(), serve(routed) and serve_sessions() all run through
+// one drain loop, and the ServingReport it builds carries measured wall
+// clock only: QPS, goodput, end-to-end / queue-wait / service latency, and
+// a per-model breakdown. The DeviceProfile's simulated per-forward latency
+// belongs to the on-device Table 3 reproduction (bench_table3_ondevice);
+// serving keeps the profile only for the memory meter behind resident_mb.
 //
 // Logits are bit-identical to sequential InferenceEngine::run() on every
 // path — direct, registry-served, and post-swap — cache cold or warm;
@@ -54,6 +51,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -72,7 +70,7 @@
 
 namespace memcom {
 
-// Per-model slice of a drain (async pipeline only).
+// Per-model slice of a drain.
 struct ModelReport {
   std::string model_id;
   std::uint64_t version = 0;   // latest registry version that served traffic
@@ -80,8 +78,6 @@ struct ModelReport {
   std::uint64_t batches = 0;   // micro-batches dispatched for THIS model
   double mean_batch = 0;       // requests / batches
   LatencyStats latency;        // end-to-end wall latency of this model's reqs
-  double modeled_busy_ms = 0;  // max over workers of this model's busy time
-  double modeled_qps = 0;
   // Peak per-worker context footprint of this model plus its shared plan —
   // what THIS tenant adds to the device, not the whole server's figure.
   double resident_mb = 0;
@@ -90,27 +86,18 @@ struct ModelReport {
 
 struct ServingReport {
   int threads = 0;
-  std::uint64_t requests = 0;  // total forwards executed
+  std::uint64_t requests = 0;  // requests submitted (shed ones included)
   double wall_ms = 0;          // wall clock of the whole drain
   double qps = 0;              // requests / wall seconds (real clock)
   LatencyStats latency;        // per-request end-to-end wall latency (ms)
-
-  // Modeled-device throughput: each worker engine is one simulated device;
-  // its busy time is the sum of the simulated latencies (compute + per-op
-  // dispatch) of the forwards it executed. The fleet finishes when the
-  // busiest device does.
-  double modeled_busy_ms = 0;  // max over workers of summed simulated ms
-  double modeled_qps = 0;      // requests / modeled busy seconds
-
-  // Async pipeline only (runs == 0 for the closed-loop harness):
   LatencyStats queue_wait;  // enqueue -> micro-batch picked up by a worker
   LatencyStats service;     // micro-batch execution wall time
   std::uint64_t batches = 0;   // micro-batches dispatched
-  double mean_batch = 0;       // requests / batches
+  double mean_batch = 0;       // executed requests / batches
   int shards = 0;              // scheduler shards the drain ran with
   std::uint64_t steals = 0;    // batches executed by a non-primary worker
 
-  // Deadline / admission-control accounting (async pipeline only).
+  // Deadline / admission-control accounting.
   // `requests` counts everything submitted; shed requests never execute,
   // so executed = requests - shed and the latency stats cover executed
   // requests only.
@@ -150,8 +137,8 @@ struct ServingReport {
   // Hot-row cache totals across workers (enabled=false when no cache).
   RowCacheStats cache;
 
-  // Cold-start accounting for the plan the drain served (the default model
-  // in the async pipeline): whether load took the v3 plan-section fast
+  // Cold-start accounting for the plan the drain served (the default
+  // model): whether load took the v3 plan-section fast
   // path, the wall time of that adopt-or-compile step, and — when adoption
   // was skipped — why (empty when adopted). Fleet story: this is the
   // per-device boot tax the serialized plan removes.
@@ -159,51 +146,8 @@ struct ServingReport {
   double plan_compile_ms = 0;
   std::string plan_fallback_reason;
 
-  // Per-model breakdown, sorted by model id (async pipeline only; empty for
-  // the single-model closed-loop harness).
+  // Per-model breakdown, sorted by model id.
   std::vector<ModelReport> per_model;
-};
-
-class ServingHarness {
- public:
-  // Compiles the plan ONCE and shares it across `threads` worker engines;
-  // the model must outlive the harness. A nonzero `cache_budget_bytes`
-  // attaches a per-worker HotRowCache (bypassed for one-hot techniques).
-  ServingHarness(const MmapModel& model, const DeviceProfile& profile,
-                 int threads, std::size_t cache_budget_bytes = 0);
-  // Shares an EXISTING plan (e.g. one acquired from a ModelRegistry).
-  ServingHarness(std::shared_ptr<const CompiledModel> compiled,
-                 const DeviceProfile& profile, int threads,
-                 std::size_t cache_budget_bytes = 0);
-
-  // Drains `requests` (repeated `repeat` times) across the worker pool.
-  // When `logits_out` is non-null it is resized to [requests, output_dim]
-  // and filled with each request's logits (first repetition).
-  ServingReport serve(const std::vector<std::vector<std::int32_t>>& requests,
-                      int repeat = 1, Tensor* logits_out = nullptr);
-
-  int threads() const { return static_cast<int>(engines_.size()); }
-  // Plan-derived (safe even on a degenerate pool — never dereferences a
-  // worker engine).
-  Index output_dim() const { return compiled_->output_dim(); }
-  const CompiledModel& compiled() const { return *compiled_; }
-  const InferenceEngine& engine(int i) const { return *engines_[i]; }
-
-  // Peak resident footprint across workers (each worker meters its own
-  // touches; the weight pages are shared, so the fleet-wide footprint is
-  // the max, not the sum) plus the shared plan, which is resident exactly
-  // once no matter how many workers reference it.
-  double max_resident_megabytes() const;
-
-  // Bytes of the shared plan's pre-dequantized buffers. Compiled once:
-  // this does NOT scale with threads() (the PR-3 layer paid it per worker).
-  std::size_t plan_resident_bytes() const {
-    return compiled_->plan_resident_bytes();
-  }
-
- private:
-  std::shared_ptr<const CompiledModel> compiled_;
-  std::vector<std::unique_ptr<InferenceEngine>> engines_;
 };
 
 // ---------------------------------------------------------------------------
@@ -378,6 +322,8 @@ class AsyncServer {
   // (session_requests, session_latency, active_sessions,
   // session_evictions). When `topk_out` is non-null it is filled with each
   // event's ranked item ids (empty for shed events).
+  //
+  // All three drivers are thin adapters over one drain loop (drive()).
   ServingReport serve_sessions(
       const std::vector<SessionEvent>& events, Index k,
       std::vector<std::vector<Index>>* topk_out = nullptr);
@@ -480,7 +426,6 @@ class AsyncServer {
     std::uint64_t requests = 0;
     std::uint64_t batches = 0;
     std::vector<double> total_ms;
-    double modeled_busy_ms = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     bool cache_enabled = false;
@@ -495,7 +440,6 @@ class AsyncServer {
     std::vector<double> queue_wait_ms;
     std::vector<double> service_ms;
     std::vector<double> total_ms;
-    double modeled_busy_ms = 0;
     std::uint64_t batches = 0;
     std::uint64_t requests = 0;
     // Session slice: submit_next_item requests this worker completed and
@@ -540,20 +484,27 @@ class AsyncServer {
   };
   void execute_batch(std::size_t worker, BatchTask& task, WorkerState& state);
   void reset_stats();
-  // Non-owning view of one request of a serve() corpus: both serve()
-  // overloads flatten to these so the un-routed one does not have to copy
-  // every history into a temporary RoutedRequest just to attach the
-  // default model id (submit() copies per repetition anyway).
+  // Non-owning view of one request of a drain corpus: every driver
+  // flattens to these, so none copies its corpus into a temporary just to
+  // attach the default model id (submit() copies per repetition anyway).
+  // `event` set = a session interaction for submit_next_item; otherwise
+  // `history` is submitted as a plain request.
   struct RequestRef {
     const std::string* model_id = nullptr;
     const std::vector<std::int32_t>* history = nullptr;
+    const SessionEvent* event = nullptr;
   };
+  // Receives each first-repetition request that executed (shed ones are
+  // skipped): its corpus row and its result.
+  using ResultSink = std::function<void(std::size_t, AsyncResult&&)>;
+  // The one drain loop behind every driver: submits `requests` (repeated
+  // `repeat` times, paced at `arrival_qps` when nonzero, session events
+  // ranked at top-`k`), waits for every completion, and builds the report.
   ServingReport drive(const std::vector<RequestRef>& requests, int repeat,
-                      double arrival_qps,
-                      std::vector<std::vector<float>>* logits_out);
-  // Shared report-assembly tail of drive()/serve_sessions(): folds the
-  // worker stats accumulated since the last reset_stats() into `report`
-  // (latency/batch/per-model/cache columns plus the session slice).
+                      double arrival_qps, Index k, const ResultSink& sink);
+  // Report-assembly tail of drive(): folds the worker stats accumulated
+  // since the last reset_stats() into `report` (latency/batch/per-model/
+  // cache columns plus the session slice).
   void collect_stats(ServingReport& report, std::uint64_t total);
 
   AsyncServerConfig config_;

@@ -1,7 +1,7 @@
 // Cross-technique differential test harness.
 //
-// Every inference entry point — run(), run_view(), run_batch(),
-// ServingHarness::serve(), and the AsyncServer micro-batching pipeline —
+// Every inference entry point — run(), run_view(), run_batch(), and the
+// AsyncServer pipeline at batch 1 and with micro-batching —
 // must produce BIT-IDENTICAL logits for every Technique enum value over a
 // seeded corpus of edge-case histories, with the hot-row cache detached,
 // cold, and warm. This is the contract that lets future fast-path /
@@ -169,14 +169,18 @@ void check_all_paths(const MmapModel& model,
                            expected[r], tag + "/run_batch", r);
     }
   }
-  // --- ServingHarness (closed loop, threaded) -----------------------------
+  // --- AsyncServer at batch 1 (closed-loop drain, threaded) ---------------
   {
-    ServingHarness harness(model, tflite_profile(), 3);
+    AsyncServerConfig config;
+    config.threads = 3;
+    config.max_batch = 1;
+    config.max_delay_us = 0.0;
+    AsyncServer server(model, tflite_profile(), config);
     Tensor served;
-    harness.serve(corpus, 1, &served);
+    server.serve(corpus, 1, 0.0, &served);
     for (std::size_t r = 0; r < corpus.size(); ++r) {
       expect_bit_identical(&served.at2(static_cast<Index>(r), 0), expected[r],
-                           tag + "/harness", r);
+                           tag + "/async_batch1", r);
     }
   }
   // --- AsyncServer (micro-batching pipeline), cache off -------------------

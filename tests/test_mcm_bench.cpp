@@ -91,7 +91,6 @@ TEST_F(McmBenchTest, AsyncModeReportsPipelineColumns) {
   ASSERT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("async micro-batching pipeline"),
             std::string::npos);
-  EXPECT_NE(result.output.find("modeled qps"), std::string::npos);
   EXPECT_NE(result.output.find("wait p95 ms"), std::string::npos);
   EXPECT_NE(result.output.find("mean batch"), std::string::npos);
   EXPECT_NE(result.output.find("hit%"), std::string::npos);

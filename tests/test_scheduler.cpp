@@ -265,6 +265,9 @@ TEST_F(SchedulerTest, ShedRateAndGoodputReportedUnderOverload) {
   EXPECT_EQ(report.deadline_miss_rate, 1.0);
   EXPECT_EQ(report.goodput_qps, 0.0);
   EXPECT_GT(report.qps, 0.0);
+  // mean_batch averages the requests that rode a batch: shed ones never
+  // did, so it cannot exceed the batch bound.
+  EXPECT_LE(report.mean_batch, config.max_batch);
 }
 
 // --- Sharded scheduler / work stealing ------------------------------------

@@ -1,6 +1,7 @@
-// ServingHarness tests: threaded serving over one shared MmapModel must
-// produce bit-identical logits to sequential single-engine runs, and the
-// report (QPS, percentiles, request counts) must be internally consistent.
+// Batch-1 AsyncServer drains (max_batch 1, max_delay_us 0: the closed-loop
+// configuration): threaded serving over one shared MmapModel must produce
+// bit-identical logits to sequential single-engine runs, and the report
+// (QPS, percentiles, request counts) must be internally consistent.
 #include "ondevice/serving.h"
 
 #include <gtest/gtest.h>
@@ -64,7 +65,16 @@ std::vector<std::vector<std::int32_t>> make_requests(int count) {
   return requests;
 }
 
-TEST_F(ServingTest, ThreadedHarnessMatchesSequentialEngineBitExact) {
+// One request per micro-batch, flushed the moment it arrives.
+AsyncServerConfig batch_one(int threads) {
+  AsyncServerConfig config;
+  config.threads = threads;
+  config.max_batch = 1;
+  config.max_delay_us = 0.0;
+  return config;
+}
+
+TEST_F(ServingTest, ThreadedBatchOneDrainMatchesSequentialEngineBitExact) {
   for (const TechniqueKind kind :
        {TechniqueKind::kMemcom, TechniqueKind::kQrConcat,
         TechniqueKind::kWeinberger}) {
@@ -75,9 +85,9 @@ TEST_F(ServingTest, ThreadedHarnessMatchesSequentialEngineBitExact) {
     const auto requests = make_requests(24);
 
     InferenceEngine sequential(mapped, tflite_profile());
-    ServingHarness harness(mapped, tflite_profile(), 4);
+    AsyncServer server(mapped, tflite_profile(), batch_one(4));
     Tensor served;
-    const ServingReport report = harness.serve(requests, 1, &served);
+    const ServingReport report = server.serve(requests, 1, 0.0, &served);
     ASSERT_EQ(report.requests, 24u);
     ASSERT_EQ(served.dim(0), 24);
     for (std::size_t r = 0; r < requests.size(); ++r) {
@@ -90,15 +100,15 @@ TEST_F(ServingTest, ThreadedHarnessMatchesSequentialEngineBitExact) {
   }
 }
 
-TEST_F(ServingTest, SingleThreadHarnessMatchesToo) {
+TEST_F(ServingTest, SingleThreadDrainMatchesToo) {
   const std::string path =
       export_model(TechniqueKind::kMemcom, ModelArch::kRanking, "single");
   const MmapModel mapped(path);
   const auto requests = make_requests(10);
   InferenceEngine sequential(mapped, coreml_profile("all"));
-  ServingHarness harness(mapped, coreml_profile("all"), 1);
+  AsyncServer server(mapped, coreml_profile("all"), batch_one(1));
   Tensor served;
-  harness.serve(requests, 1, &served);
+  server.serve(requests, 1, 0.0, &served);
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const Tensor expected = sequential.run(requests[r]).logits;
     for (Index c = 0; c < expected.numel(); ++c) {
@@ -113,10 +123,10 @@ TEST_F(ServingTest, RepeatedDrainsKeepLogitsStable) {
                    "repeat");
   const MmapModel mapped(path);
   const auto requests = make_requests(6);
-  ServingHarness harness(mapped, tflite_profile(), 3);
+  AsyncServer server(mapped, tflite_profile(), batch_one(3));
   Tensor first, second;
-  harness.serve(requests, 4, &first);
-  const ServingReport report = harness.serve(requests, 4, &second);
+  server.serve(requests, 4, 0.0, &first);
+  const ServingReport report = server.serve(requests, 4, 0.0, &second);
   EXPECT_EQ(report.requests, 24u);  // 6 unique x 4 repeats
   EXPECT_TENSOR_NEAR(first, second, 0.0f);
 }
@@ -127,8 +137,8 @@ TEST_F(ServingTest, ReportIsInternallyConsistent) {
                    "report");
   const MmapModel mapped(path);
   const auto requests = make_requests(16);
-  ServingHarness harness(mapped, tflite_profile(), 2);
-  const ServingReport report = harness.serve(requests, 3);
+  AsyncServer server(mapped, tflite_profile(), batch_one(2));
+  const ServingReport report = server.serve(requests, 3);
   EXPECT_EQ(report.threads, 2);
   EXPECT_EQ(report.requests, 48u);
   EXPECT_EQ(report.latency.runs, 48);
@@ -140,21 +150,18 @@ TEST_F(ServingTest, ReportIsInternallyConsistent) {
   EXPECT_LE(report.latency.p99_ms, report.latency.max_ms);
   // The whole drain can't be faster than its slowest request.
   EXPECT_GE(report.wall_ms, report.latency.max_ms);
-  EXPECT_GT(harness.max_resident_megabytes(), 0.0);
+  // Batch-1: every executed request rode its own micro-batch.
+  EXPECT_EQ(report.batches, 48u);
+  EXPECT_EQ(report.mean_batch, 1.0);
+  EXPECT_GT(server.max_resident_megabytes(), 0.0);
 }
 
 TEST_F(ServingTest, NonPositiveThreadCountRejectedUpFront) {
-  // Both serving layers must reject a 0/negative pool at construction —
-  // otherwise output_dim() would dereference an empty engine list (UB).
-  // The engine split moved these checks; this pins that they still fire
-  // before any thread spawns.
+  // The server must reject a 0/negative pool at construction, before any
+  // thread spawns — a pool with no worker would never drain a request.
   const std::string path =
       export_model(TechniqueKind::kMemcom, ModelArch::kRanking, "degenerate");
   const MmapModel mapped(path);
-  EXPECT_THROW(ServingHarness(mapped, tflite_profile(), 0),
-               std::runtime_error);
-  EXPECT_THROW(ServingHarness(mapped, tflite_profile(), -4),
-               std::runtime_error);
   AsyncServerConfig config;
   config.threads = 0;
   EXPECT_THROW(AsyncServer(mapped, tflite_profile(), config),
@@ -164,9 +171,9 @@ TEST_F(ServingTest, NonPositiveThreadCountRejectedUpFront) {
                std::runtime_error);
   // The checks reject before any thread spawns, so a valid construction
   // right after the failures works normally.
-  ServingHarness harness(mapped, tflite_profile(), 1);
-  EXPECT_EQ(harness.threads(), 1);
-  EXPECT_GT(harness.output_dim(), 0);
+  AsyncServer server(mapped, tflite_profile(), batch_one(1));
+  EXPECT_EQ(server.threads(), 1);
+  EXPECT_GT(server.output_dim(), 0);
 }
 
 TEST_F(ServingTest, PlanCompiledOnceAndSharedAcrossWorkers) {
@@ -189,43 +196,23 @@ TEST_F(ServingTest, PlanCompiledOnceAndSharedAcrossWorkers) {
   }
   EXPECT_EQ(duplicated, static_cast<std::size_t>(kWorkers) * one_plan);
 
-  // The harness shares ONE plan: the fleet's plan bytes equal a single
-  // compile, regardless of worker count...
-  ServingHarness harness(mapped, tflite_profile(), kWorkers);
-  EXPECT_EQ(harness.plan_resident_bytes(), one_plan);
-  EXPECT_LT(harness.plan_resident_bytes(), duplicated);
-  for (int w = 0; w < harness.threads(); ++w) {
-    EXPECT_EQ(&harness.engine(w).compiled(), &harness.compiled());
-  }
+  // The server shares ONE plan: the registry holds a single compile,
+  // regardless of worker count...
+  AsyncServer server(mapped, tflite_profile(), batch_one(kWorkers));
+  EXPECT_EQ(server.registry().plan_resident_bytes(), one_plan);
+  EXPECT_LT(server.registry().plan_resident_bytes(), duplicated);
 
-  // ...and the shared plan still serves bit-identical logits with the
-  // page-touch metering of the uncached path unchanged per worker.
+  // ...and the shared plan still serves bit-identical logits.
   const auto requests = make_requests(12);
   InferenceEngine reference(mapped, tflite_profile());
   Tensor served;
-  harness.serve(requests, 1, &served);
+  server.serve(requests, 1, 0.0, &served);
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const Tensor expected = reference.run(requests[r]).logits;
     for (Index c = 0; c < expected.numel(); ++c) {
       EXPECT_EQ(served.at2(static_cast<Index>(r), c), expected[c]);
     }
   }
-}
-
-TEST_F(ServingTest, WorkersMeterIndependently) {
-  // Each worker owns a private meter over the shared mapping; a worker that
-  // served at least one request reports a plausible resident footprint.
-  const std::string path =
-      export_model(TechniqueKind::kMemcom, ModelArch::kRanking, "meters");
-  const MmapModel mapped(path);
-  const auto requests = make_requests(32);
-  ServingHarness harness(mapped, tflite_profile(), 2);
-  harness.serve(requests, 2);
-  Index served_by_someone = 0;
-  for (int w = 0; w < harness.threads(); ++w) {
-    served_by_someone += harness.engine(w).meter().touched_pages();
-  }
-  EXPECT_GT(served_by_someone, 0);
 }
 
 }  // namespace

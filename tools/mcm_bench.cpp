@@ -11,10 +11,11 @@
 //   ./mcm_bench --models a.mcm,b.mcm [--swap-after N] [serving flags above]
 //
 // Prints the single-input latency distribution (mean/min/p50/p95/p99/max,
-// the paper's §5.3 metric) and the multi-threaded serving report (QPS,
-// per-request wall latency percentiles). With --async it also drives the
-// open-loop micro-batching pipeline and reports the queue-wait vs
-// service-time split, modeled-device QPS, and the hot-row cache hit rate.
+// the paper's §5.3 metric) and the multi-threaded batch-1 serving report
+// (QPS, per-request wall latency percentiles) of an AsyncServer at
+// max_batch 1. With --async it also drives the open-loop micro-batching
+// pipeline and reports the queue-wait vs service-time split and the
+// hot-row cache hit rate.
 //
 // With --models the tool loads every file into a ModelRegistry, drives
 // interleaved multi-tenant traffic through one AsyncServer, and prints the
@@ -332,13 +333,12 @@ int main(int argc, char** argv) {
     }
 
     TextTable overall({"threads", "shards", "models", "requests", "qps",
-                       "goodput", "modeled qps", "p50 ms", "mean batch",
-                       "shed%", "miss%", "steals", "hit%"});
+                       "goodput", "p50 ms", "mean batch", "shed%", "miss%",
+                       "steals", "hit%"});
     overall.add_row(
         {std::to_string(report.threads), std::to_string(report.shards),
          std::to_string(ids.size()), std::to_string(report.requests),
          format_float(report.qps, 0), format_float(report.goodput_qps, 0),
-         format_float(report.modeled_qps, 0),
          format_float(report.latency.p50_ms, 4),
          format_float(report.mean_batch, 1),
          format_float(report.shed_rate * 100.0, 1),
@@ -351,13 +351,12 @@ int main(int argc, char** argv) {
               << "interleaved traffic):\n"
               << overall.to_string() << "\n";
 
-    TextTable per_model({"model", "version", "requests", "modeled qps",
-                         "p50 ms", "p95 ms", "hit%"});
+    TextTable per_model({"model", "version", "requests", "p50 ms", "p95 ms",
+                         "hit%"});
     for (const ModelReport& model : report.per_model) {
       per_model.add_row(
           {model.model_id, std::to_string(model.version),
            std::to_string(model.requests),
-           format_float(model.modeled_qps, 0),
            format_float(model.latency.p50_ms, 4),
            format_float(model.latency.p95_ms, 4),
            model.cache.enabled
@@ -493,7 +492,8 @@ int main(int argc, char** argv) {
   std::cout << "single-input latency (" << runs << " runs):\n"
             << latency.to_string() << "\n";
 
-  // Threaded serving throughput.
+  // Threaded batch-1 serving throughput: one request per micro-batch,
+  // flushed on arrival.
   TextTable serving({"threads", "requests", "qps", "p50 ms", "p95 ms",
                      "p99 ms", "wall ms"});
   std::vector<int> thread_counts = {1};
@@ -501,9 +501,13 @@ int main(int argc, char** argv) {
     thread_counts.push_back(threads);
   }
   for (const int t : thread_counts) {
-    ServingHarness harness(model, profile, t);
-    harness.serve(requests, 1);  // warm-up
-    const ServingReport report = harness.serve(requests, repeat);
+    AsyncServerConfig config;
+    config.threads = t;
+    config.max_batch = 1;
+    config.max_delay_us = 0.0;
+    AsyncServer server(model, profile, config);
+    server.serve(requests, 1);  // warm-up
+    const ServingReport report = server.serve(requests, repeat);
     serving.add_row({std::to_string(report.threads),
                      std::to_string(report.requests),
                      format_float(report.qps, 0),
@@ -528,15 +532,13 @@ int main(int argc, char** argv) {
     server.serve(requests, 1);  // warm-up (also warms the row cache)
     const ServingReport report = server.serve(requests, repeat, arrival_qps);
     TextTable table({"threads", "shards", "batch<=", "offered", "qps",
-                     "goodput", "modeled qps", "p50 ms", "wait p50 ms",
-                     "wait p95 ms", "svc p50 ms", "mean batch", "shed%",
-                     "miss%", "hit%"});
+                     "goodput", "p50 ms", "wait p50 ms", "wait p95 ms",
+                     "svc p50 ms", "mean batch", "shed%", "miss%", "hit%"});
     table.add_row(
         {std::to_string(report.threads), std::to_string(report.shards),
          std::to_string(max_batch),
          arrival_qps > 0 ? format_float(arrival_qps, 0) : "max",
          format_float(report.qps, 0), format_float(report.goodput_qps, 0),
-         format_float(report.modeled_qps, 0),
          format_float(report.latency.p50_ms, 4),
          format_float(report.queue_wait.p50_ms, 4),
          format_float(report.queue_wait.p95_ms, 4),
