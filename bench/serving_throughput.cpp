@@ -12,7 +12,7 @@
 //   ./bench_serving_throughput                  # default scale
 //   ./bench_serving_throughput --smoke          # tiny model, few iterations
 //   ./bench_serving_throughput --threads 8 --requests 512 --repeat 16
-//       --arrival-qps 20000 --cache-kb 128 --max-delay-us 200  (one line)
+//       --arrival-qps 20000 --cache-kb 128  (one line)
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -172,7 +172,6 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.get_int("requests", smoke ? 64 : 256));
   const int repeat = static_cast<int>(flags.get_int("repeat", smoke ? 4 : 8));
   const double arrival_qps = flags.get_double("arrival-qps", 0.0);
-  const double max_delay_us = flags.get_double("max-delay-us", 200.0);
   // SLO for the scheduler shoot-out section (enqueue -> completion budget).
   const double deadline_us = flags.get_double("deadline-us", 2000.0);
   const Index cache_kb = flags.get_int("cache-kb", smoke ? 64 : 256);
@@ -233,7 +232,6 @@ int main(int argc, char** argv) {
       AsyncServerConfig server_config;
       server_config.threads = max_threads;
       server_config.max_batch = max_batch;
-      server_config.max_delay_us = max_delay_us;
       server_config.queue_capacity =
           static_cast<std::size_t>(std::max<Index>(64, max_batch * 8));
       server_config.cache_budget_bytes =
@@ -298,7 +296,6 @@ int main(int argc, char** argv) {
     AsyncServerConfig server_config;
     server_config.threads = max_threads;
     server_config.max_batch = 8;
-    server_config.max_delay_us = max_delay_us;
     server_config.queue_capacity = 128;
     server_config.cache_budget_bytes =
         static_cast<std::size_t>(cache_kb) * 1024;
@@ -346,7 +343,7 @@ int main(int argc, char** argv) {
   // single-queue capacity, absolute-timestamp pacing). Three schedulers:
   //   single       — shards=1, the PR-3 configuration (one global queue);
   //   sharded      — shards=threads, work stealing, no deadlines;
-  //   sharded+slo  — sharded plus deadline_us + SLO flush + shedding.
+  //   sharded+slo  — sharded plus deadline_us + shedding.
   // The story BENCH_serving.json tracks: sharding cuts queue wait at equal
   // offered load, and admission control converts unbounded queueing into
   // bounded-latency goodput (shed% up, wait p95 and miss% down).
@@ -402,7 +399,6 @@ int main(int argc, char** argv) {
       server_config.threads = max_threads;
       server_config.shards = v.shards;
       server_config.max_batch = 8;
-      server_config.max_delay_us = max_delay_us;
       server_config.deadline_us = v.deadline_us;
       server_config.shed = v.shed;
       server_config.queue_capacity = 256;
@@ -493,7 +489,6 @@ int main(int argc, char** argv) {
       AsyncServerConfig server_config;
       server_config.threads = max_threads;
       server_config.max_batch = 1;
-      server_config.max_delay_us = 0.0;
       AsyncServer server(mapped, tflite_profile(), server_config);
       server.serve(ml_requests, 1);  // warm-up
       const ServingReport report = server.serve(ml_requests, repeat);
@@ -575,7 +570,6 @@ int main(int argc, char** argv) {
       server_config.threads = max_threads;
       server_config.shards = v.shards;
       server_config.max_batch = 8;
-      server_config.max_delay_us = max_delay_us;
       server_config.queue_capacity = 256;
       server_config.session_capacity = session_capacity;
       server_config.session_history = seq_len;

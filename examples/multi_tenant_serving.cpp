@@ -91,7 +91,6 @@ int main(int argc, char** argv) {
   AsyncServerConfig config;
   config.threads = 2;
   config.max_batch = 8;
-  config.max_delay_us = 200.0;
   config.queue_capacity = 64;
   config.cache_budget_bytes = 64 * 1024;
   AsyncServer server(registry, "ranker", tflite_profile(), config);

@@ -26,17 +26,30 @@ Flags::Flags(int argc, const char* const* argv) {
 }
 
 bool Flags::has(const std::string& name) const {
+  read_.insert(name);
   return values_.count(name) > 0;
+}
+
+std::vector<std::string> Flags::unread() const {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) {
+      names.push_back(name);
+    }
+  }
+  return names;
 }
 
 std::string Flags::get_string(const std::string& name,
                               const std::string& fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : it->second;
 }
 
 std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) {
     return fallback;
@@ -45,6 +58,7 @@ std::int64_t Flags::get_int(const std::string& name,
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) {
     return fallback;
@@ -53,6 +67,7 @@ double Flags::get_double(const std::string& name, double fallback) const {
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) {
     return fallback;

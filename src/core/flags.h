@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -23,8 +24,14 @@ class Flags {
   // Positional (non --flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
+  // Flags given on the command line that no has()/get_*() call has asked
+  // about yet, in name order: a binary that reads every flag it knows up
+  // front rejects typos with this.
+  std::vector<std::string> unread() const;
+
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
 };
 

@@ -29,11 +29,11 @@
 // hashing, zero map lookups, and zero heap allocations either way — see
 // tests/test_fastpath.cpp for the enforcement.
 //
-// Latency is wall time of the real computation plus the device profile's
-// per-op dispatch overhead (and the profile's one-hot slowdown for the
-// un-fused TF-Lite path). `run_batch` amortizes the dispatch overhead over
-// the batch, mirroring how the frameworks execute one fused graph per
-// batch. Memory is metered page-granularly, see memory_meter.h.
+// Latency (run/run_view) is wall time of the real computation plus the
+// device profile's per-op dispatch overhead (and the profile's one-hot
+// slowdown for the un-fused TF-Lite path) — the modeled Table 3 figure.
+// `run_batch` returns logits only, no modeled time. Memory is metered
+// page-granularly, see memory_meter.h.
 #pragma once
 
 #include <cstdint>
@@ -98,9 +98,8 @@ class InferenceEngine {
     return context_.run_view(history);
   }
 
-  // Runs every history through the forward pass, charging the per-op
-  // dispatch overhead once for the whole batch. Logits are bit-identical to
-  // sequential run() calls.
+  // Runs every history through the forward pass. Logits are bit-identical
+  // to sequential run() calls.
   BatchResult run_batch(
       const std::vector<std::vector<std::int32_t>>& histories) {
     return context_.run_batch(histories);

@@ -593,11 +593,6 @@ BatchResult ExecutionContext::run_batch(
   result.batch = static_cast<Index>(histories.size());
   const Index dim = compiled_->output_dim();
   result.logits = Tensor({result.batch, dim});
-  double compute = 0.0;
-  double embed_compute = 0.0;
-  double onehot_extra = 0.0;
-  Index embed_ops = 0;
-  Index ops = 0;
   if (top_k > 0) {
     check(topk_out != nullptr, "run_batch: top_k > 0 needs topk_out");
     topk_out->resize(static_cast<std::size_t>(result.batch));
@@ -616,15 +611,12 @@ BatchResult ExecutionContext::run_batch(
         nprobes != nullptr ? (*nprobes)[static_cast<std::size_t>(b)] : 0;
     const bool pruned =
         top_k > 0 && nprobe > 0 && compiled_->has_catalog_index();
-    RawForward raw;
     if (pruned) {
-      raw = forward_pruned(history.data(), static_cast<Index>(history.size()),
-                           nprobe, top_k,
-                           &(*topk_out)[static_cast<std::size_t>(b)],
-                           &result.scanned_rows, &result.scanned_bytes);
+      forward_pruned(history.data(), static_cast<Index>(history.size()),
+                     nprobe, top_k, &(*topk_out)[static_cast<std::size_t>(b)],
+                     &result.scanned_rows, &result.scanned_bytes);
     } else {
-      raw =
-          forward_scratch(history.data(), static_cast<Index>(history.size()));
+      forward_scratch(history.data(), static_cast<Index>(history.size()));
       if (top_k > 0) {
         (*topk_out)[static_cast<std::size_t>(b)] =
             topk_select(logits_.data(), dim, top_k);
@@ -638,21 +630,7 @@ BatchResult ExecutionContext::run_batch(
     }
     std::memcpy(&result.logits.at2(b, 0), logits_.data(),
                 static_cast<std::size_t>(dim) * sizeof(float));
-    compute += raw.compute_ms;
-    embed_compute += raw.embed_compute_ms;
-    onehot_extra += raw.onehot_extra_ms;
-    embed_ops = raw.embed_ops;
-    ops = raw.op_count;
   }
-  // The frameworks dispatch ONE fused graph for the whole batch, so the
-  // per-op overhead is charged once — this is the batching win.
-  result.op_count = ops;
-  result.embedding_ms = embed_compute + onehot_extra +
-                        static_cast<double>(embed_ops) *
-                            profile_.per_op_dispatch_us / 1000.0;
-  result.total_ms = compute + onehot_extra +
-                    static_cast<double>(ops) * profile_.per_op_dispatch_us /
-                        1000.0;
   if (before.enabled) {
     const RowCacheStats after = row_cache_stats();
     result.cache_hits = after.hits - before.hits;

@@ -45,13 +45,11 @@ struct InferenceView {
   std::uint64_t cache_misses = 0;
 };
 
-// Batched forward: one fused-graph dispatch for the whole batch, so the
-// per-op overhead is charged once instead of once per request.
+// Batched forward: each row runs the same forward as run_view(), so its
+// logits are bit-identical to a batch-1 run. Carries no modeled time — a
+// caller that wants latency measures the call's wall clock.
 struct BatchResult {
-  Tensor logits;            // [batch, output_dim]
-  double embedding_ms = 0;  // summed compute + one amortized dispatch
-  double total_ms = 0;
-  Index op_count = 0;       // fused graph ops dispatched for the batch
+  Tensor logits;  // [batch, output_dim]
   Index batch = 0;
   // Hot-row cache traffic of THIS batch (zero without an attached cache).
   std::uint64_t cache_hits = 0;
@@ -96,7 +94,7 @@ class ExecutionContext {
   // and row b receives the best min(top_k, output_dim) ids of request b,
   // selected straight off the logits scratch before the next row
   // overwrites it. Ranking lives here so every serving path — worker
-  // micro-batches, harness, bench — breaks ties identically.
+  // micro-batches, bench — breaks ties identically.
   //
   // `nprobes` (optional, per row, parallel to `histories`) turns a row's
   // ranking into the CLUSTERED PRUNED scan when its value is > 0 AND the

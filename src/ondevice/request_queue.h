@@ -1,10 +1,11 @@
 // Bounded multi-producer blocking queue for the async serving pipeline.
 //
-// This is the admission-control stage of AsyncServer: producers enqueue
-// requests (blocking `push` or non-blocking `try_push`), the scheduler pops
-// them to form micro-batches. Capacity is a hard bound — when the queue is
-// full, `push` blocks and `try_push` fails, which is how backpressure
-// propagates from saturated workers all the way back to request producers.
+// This is the admission stage of AsyncServer: producers enqueue requests
+// (blocking `push` or non-blocking `try_push`) and idle workers pop them
+// straight off the queue as micro-batches (`pop_run_until`). Capacity is a
+// hard bound — when the queue is full, `push` blocks and `try_push` fails,
+// which is how backpressure propagates from saturated workers all the way
+// back to request producers.
 //
 // Implemented with a mutex + two condition variables over a fixed ring
 // buffer; simple, fair enough, and clean under ThreadSanitizer (the CI tsan
@@ -81,20 +82,6 @@ class RequestQueue {
     return true;
   }
 
-  // Non-blocking pop: false when the queue is currently empty (whether or
-  // not it is closed). This is the work-stealing probe — a worker scanning
-  // OTHER shards' dispatch queues must never park on them.
-  bool try_pop(T& out) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (size_ == 0) {
-      return false;
-    }
-    dequeue_locked(out);
-    lock.unlock();
-    not_full_.notify_one();
-    return true;
-  }
-
   // Like pop(), but gives up at `deadline`. Returns false on timeout or on
   // closed-and-drained; `timed_out` (optional) distinguishes the two.
   template <typename TimePoint>
@@ -112,6 +99,38 @@ class RequestQueue {
     lock.unlock();
     not_full_.notify_one();
     return true;
+  }
+
+  // Pops the FIFO run of items at the head that `same(first, item)` admits
+  // (`first` is the run's head), at most `max` of them, appending each to
+  // `out` and calling `on_pop(item)` on it while the queue lock is still
+  // held: a side effect of popping happens in queue order even when several
+  // consumers share the queue. Waits until `deadline` for a first item; a
+  // deadline in the past makes this a non-blocking probe. Returns how many
+  // items were popped — 0 on timeout or once closed and drained. Appends
+  // never allocate while `out` has capacity for `max` more items.
+  template <typename TimePoint, typename Same, typename OnPop>
+  std::size_t pop_run_until(std::vector<T>& out, std::size_t max,
+                            TimePoint deadline, Same same, OnPop on_pop) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    not_empty_.wait_until(lock, deadline,
+                          [&] { return size_ > 0 || closed_; });
+    const std::size_t first = out.size();
+    while (size_ > 0 && out.size() - first < max &&
+           (out.size() == first || same(out[first], ring_[head_]))) {
+      out.push_back(std::move(ring_[head_]));
+      head_ = (head_ + 1) % capacity_;
+      --size_;
+      on_pop(out.back());
+    }
+    const std::size_t popped = out.size() - first;
+    lock.unlock();
+    if (popped == 1) {
+      not_full_.notify_one();
+    } else if (popped > 1) {
+      not_full_.notify_all();
+    }
+    return popped;
   }
 
   void close() {

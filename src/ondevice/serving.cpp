@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <latch>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "core/check.h"
@@ -54,8 +54,6 @@ void AsyncServer::start() {
         "AsyncServer: shards must not exceed threads (every shard needs a "
         "primary worker)");
   check(config_.max_batch > 0, "AsyncServer: max_batch must be positive");
-  check(config_.max_delay_us >= 0.0,
-        "AsyncServer: max_delay_us must be non-negative");
   check(config_.deadline_us >= 0.0,
         "AsyncServer: deadline_us must be non-negative");
   check(config_.queue_capacity >= static_cast<std::size_t>(config_.shards),
@@ -73,13 +71,9 @@ void AsyncServer::start() {
 
   const std::size_t shards = static_cast<std::size_t>(config_.shards);
   // queue_capacity is the TOTAL admission bound: split it across shards,
-  // first `remainder` shards take one extra slot. Each dispatch queue keeps
-  // the shard's share of the worker pool fed plus a small runway — bounding
-  // it propagates worker backpressure to admission (and on to producers).
+  // first `remainder` shards take one extra slot.
   const std::size_t per_shard = config_.queue_capacity / shards;
   const std::size_t remainder = config_.queue_capacity % shards;
-  const std::size_t dispatch_cap = std::max<std::size_t>(
-      2, static_cast<std::size_t>(config_.threads) * 2 / shards);
   shards_.reserve(shards);
   // session_capacity is TOTAL too, split the same way (first shards take
   // the remainder). Stores are built up front so the session path never
@@ -89,8 +83,8 @@ void AsyncServer::start() {
   const std::size_t sess_remainder =
       static_cast<std::size_t>(config_.session_capacity) % shards;
   for (std::size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(
-        per_shard + (s < remainder ? 1 : 0), dispatch_cap));
+    shards_.push_back(
+        std::make_unique<Shard>(per_shard + (s < remainder ? 1 : 0)));
     if (config_.session_capacity > 0) {
       shards_.back()->sessions = std::make_unique<SessionStore>(
           static_cast<Index>(sess_per_shard + (s < sess_remainder ? 1 : 0)),
@@ -99,27 +93,27 @@ void AsyncServer::start() {
   }
 
   worker_stats_.resize(static_cast<std::size_t>(config_.threads));
-  for (std::size_t s = 0; s < shards; ++s) {
-    shards_[s]->former = std::thread(&AsyncServer::former_loop, this, s);
-  }
+  // Return only once every worker is running. A request submitted right
+  // after construction would otherwise be popped by a thread still in its
+  // first time slice; with other tasks (even idle-priority ones) on its CPU,
+  // a multi-millisecond first forward then often stalled for a whole
+  // scheduler tick.
   workers_.reserve(static_cast<std::size_t>(config_.threads));
+  std::latch started(config_.threads);
   for (int w = 0; w < config_.threads; ++w) {
-    workers_.emplace_back(&AsyncServer::worker_loop, this,
-                          static_cast<std::size_t>(w));
+    workers_.emplace_back([this, w, &started] {
+      started.count_down();
+      worker_loop(static_cast<std::size_t>(w));
+    });
   }
+  started.wait();
 }
 
 AsyncServer::~AsyncServer() {
-  // Close every admission queue: pops drain what was accepted, then each
-  // former flushes its pending batches and closes its dispatch queue, and
-  // the workers exit once every dispatch queue is drained.
+  // Close every admission queue: pops drain what was accepted, and the
+  // workers exit once every queue is closed and empty.
   for (auto& shard : shards_) {
     shard->queue.close();
-  }
-  for (auto& shard : shards_) {
-    if (shard->former.joinable()) {
-      shard->former.join();
-    }
   }
   for (std::thread& t : workers_) {
     if (t.joinable()) {
@@ -251,10 +245,12 @@ std::future<AsyncResult> AsyncServer::submit_next_item(std::string model_id,
   check(registry_->has_model(model_id),
         "AsyncServer: submit to unknown model " + model_id);
   // SESSION-affine routing: the shard owning this session's history ring,
-  // not the model's home shard. Admission FIFO + single former thread per
-  // shard give the ordered-updates guarantee.
+  // not the model's home shard. Admission FIFO + the append under the queue
+  // lock at pop time give the ordered-updates guarantee.
   Shard& shard = *shards_[shard_for_session(session_id)];
   QueuedRequest request = make_request(std::move(model_id), {}, deadline_us);
+  // Reserved here so the append under the queue lock never allocates.
+  request.history.reserve(static_cast<std::size_t>(config_.session_history));
   request.is_session = true;
   request.session_id = session_id;
   request.new_item = new_item;
@@ -300,205 +296,98 @@ bool AsyncServer::try_submit(std::string model_id,
   return true;
 }
 
-// Per-shard batch former (the sharded replacement for the PR-3 single
-// scheduler thread). Forms one open micro-batch per model id; the batch
-// pins its model version at formation so a concurrent swap() never
-// retargets in-flight work. A batch flushes when the FIRST of these fires:
-//   * it reaches max_batch requests;
-//   * it has been open for max_delay_us (the classic upper bound);
-//   * SLO-driven: the oldest member's remaining deadline slack drops below
-//     the shard's projected batch service time — waiting any longer would
-//     convert an on-time request into a deadline miss for the sake of
-//     batching.
-void AsyncServer::former_loop(std::size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  const auto delay = std::chrono::microseconds(
-      static_cast<std::int64_t>(config_.max_delay_us));
-  struct Pending {
-    std::vector<QueuedRequest> requests;
-    Clock::time_point delay_deadline;    // formation time + max_delay_us
-    Clock::time_point oldest_deadline;   // min request deadline (or ::max)
-    std::shared_ptr<const CompiledModel> compiled;
-    std::uint64_t version = 0;
-  };
-  std::unordered_map<std::string, Pending> pending;
-
-  const auto flush = [&](const std::string& model_id, Pending& p) {
-    BatchTask task;
-    task.model_id = model_id;
-    task.compiled = std::move(p.compiled);
-    task.version = p.version;
-    task.shard = shard_index;
-    task.requests = std::move(p.requests);
-    shard.dispatch.push(std::move(task));  // only fails after close
-  };
-
-  // The moment this batch must flush to still have a chance of meeting its
-  // oldest member's deadline (given the current service-time projection),
-  // capped by the max_delay_us budget.
-  const auto flush_tp = [&](const Pending& p) {
-    auto tp = p.delay_deadline;
-    if (p.oldest_deadline != Clock::time_point::max()) {
-      const auto projected = std::chrono::microseconds(
-          shard.service_est_us.load(std::memory_order_relaxed));
-      tp = std::min(tp, p.oldest_deadline - projected);
-    }
-    return tp;
-  };
-
-  bool open = true;
-  while (open || !pending.empty()) {
-    QueuedRequest next;
-    bool got = false;
-    if (pending.empty()) {
-      got = shard.queue.pop(next);
-      if (!got) {
-        open = false;  // closed and drained
-      }
-    } else {
-      auto wake = Clock::time_point::max();
-      for (const auto& [id, p] : pending) {
-        wake = std::min(wake, flush_tp(p));
-      }
-      bool timed_out = false;
-      got = shard.queue.pop_wait_until(next, wake, &timed_out);
-      if (!got && !timed_out) {
-        open = false;  // closed and drained: flush whatever is pending
-      }
-    }
-    if (got) {
-      if (next.is_session) {
-        // The append happens HERE, on the shard's single former thread:
-        // session-affine routing delivered every update of this session to
-        // this queue in submission order, so the store needs no lock and
-        // the history snapshot each request rides with is well-defined.
-        shard.sessions->append_and_snapshot(next.session_id, next.new_item,
-                                            next.history);
-      }
-      Pending& p = pending[next.model_id];
-      if (p.requests.empty()) {
-        p.delay_deadline = Clock::now() + delay;
-        p.oldest_deadline = next.deadline_tp;
-        // Version pinned HERE: later requests joining this batch ride the
-        // same plan even if a swap lands mid-formation. One atomic snapshot:
-        // plan and version label must come from the same registry state.
-        p.compiled = registry_->acquire(next.model_id, &p.version);
-        p.requests.reserve(static_cast<std::size_t>(config_.max_batch));
-      } else {
-        p.oldest_deadline = std::min(p.oldest_deadline, next.deadline_tp);
-      }
-      const std::string model_id = next.model_id;
-      p.requests.push_back(std::move(next));
-      if (p.requests.size() >= static_cast<std::size_t>(config_.max_batch)) {
-        flush(model_id, p);
-        pending.erase(model_id);
-      }
-    }
-    // Flush every batch whose budget is spent — delay or deadline slack —
-    // and all of them on shutdown drain.
-    const auto now = Clock::now();
-    for (auto it = pending.begin(); it != pending.end();) {
-      if (!open || now >= flush_tp(it->second)) {
-        flush(it->first, it->second);
-        it = pending.erase(it);
-      } else {
-        ++it;
-      }
-    }
+bool AsyncServer::form_batch(std::size_t s, Clock::time_point deadline,
+                             WorkerState& state) {
+  Shard& shard = *shards_[s];
+  Batch& batch = state.batch;
+  const std::size_t popped = shard.queue.pop_run_until(
+      batch.requests, static_cast<std::size_t>(config_.max_batch), deadline,
+      [](const QueuedRequest& first, const QueuedRequest& r) {
+        return r.model_id == first.model_id;  // batches hold one model
+      },
+      [&shard](QueuedRequest& r) {
+        // Under the queue lock, in admission order: with several workers
+        // popping one shard, this is what keeps a session's appends ordered
+        // and each request's history snapshot well-defined.
+        if (r.is_session) {
+          shard.sessions->append_and_snapshot(r.session_id, r.new_item,
+                                              r.history);
+        }
+      });
+  if (popped == 0) {
+    return false;
   }
-  shard.dispatch.close();
+  // Version pinned HERE, in one atomic snapshot: plan and version label
+  // come from the same registry state, and a later swap() cannot retarget
+  // the batch.
+  batch.compiled = registry_->acquire(batch.requests.front().model_id,
+                                      &batch.version);
+  batch.shard = s;
+  return true;
 }
 
 void AsyncServer::worker_loop(std::size_t worker) {
   WorkerState state;
+  state.batch.requests.reserve(static_cast<std::size_t>(config_.max_batch));
   const std::size_t nshards = shards_.size();
   const std::size_t primary = worker % nshards;
-  BatchTask task;
+  const auto drained = [&] {
+    // Closed and empty is terminal: no push can follow a close().
+    return std::all_of(shards_.begin(), shards_.end(), [](const auto& shard) {
+      return shard->queue.closed() && shard->queue.size() == 0;
+    });
+  };
   for (;;) {
+    // Primary shard first, then the others (a steal); never park on a scan.
     bool got = false;
-    bool stolen = false;
-    // Fast path: the primary shard's dispatch queue; otherwise scan the
-    // other shards for a formed batch to steal (never parking on them).
-    if (shards_[primary]->dispatch.try_pop(task)) {
-      got = true;
-    } else {
-      for (std::size_t k = 1; k < nshards && !got; ++k) {
-        const std::size_t s = (primary + k) % nshards;
-        if (shards_[s]->dispatch.try_pop(task)) {
-          got = true;
-          stolen = true;
-        }
-      }
+    for (std::size_t k = 0; k < nshards && !got; ++k) {
+      got = form_batch((primary + k) % nshards, Clock::time_point{}, state);
     }
     if (!got) {
-      // Nothing anywhere: park briefly on an OPEN shard, preferring the
-      // primary. The timeout bounds how stale a steal scan can get.
-      std::size_t park = primary;
-      if (shards_[park]->dispatch.closed()) {
-        park = nshards;  // sentinel: primary closed, find any open shard
-        for (std::size_t s = 0; s < nshards; ++s) {
-          if (!shards_[s]->dispatch.closed()) {
-            park = s;
-            break;
-          }
-        }
+      if (drained()) {
+        break;
       }
-      if (park == nshards) {
-        // Every dispatch queue is closed — no former will push again, so
-        // one more scan observes every remaining batch. Drain it, then
-        // exit.
-        for (std::size_t s = 0; s < nshards && !got; ++s) {
-          if (shards_[s]->dispatch.try_pop(task)) {
-            got = true;
-            stolen = s != primary;
-          }
-        }
-        if (!got) {
-          break;
-        }
-      } else {
-        bool timed_out = false;
-        got = shards_[park]->dispatch.pop_wait_until(
-            task, Clock::now() + std::chrono::milliseconds(1), &timed_out);
-        stolen = got && park != primary;
-        if (!got) {
-          continue;
-        }
+      // Every queue is empty: park on the primary. The timeout bounds how
+      // stale the next steal scan can get.
+      if (!form_batch(primary, Clock::now() + std::chrono::milliseconds(1),
+                      state)) {
+        continue;
       }
     }
-    if (stolen) {
+    if (state.batch.shard != primary) {
       steals_.fetch_add(1, std::memory_order_relaxed);
     }
-    execute_batch(worker, task, state);
+    execute_batch(worker, state);
     // Drop the plan reference (and the request buffers) NOW rather than at
     // the next pop: a hot-swapped old version must drain as soon as its
     // last batch completes, not when the worker happens to pick up new
     // work.
-    task = BatchTask{};
+    state.batch.compiled.reset();
+    state.batch.requests.clear();
   }
 }
 
-void AsyncServer::execute_batch(std::size_t worker, BatchTask& task,
-                                WorkerState& state) {
+void AsyncServer::execute_batch(std::size_t worker, WorkerState& state) {
   // One context per model id, owned by the CALLING thread (never shared):
   // the scratch arena, meter, and row cache are private, and bind()
   // re-targets a lane to a freshly swapped version (cache rebuilt cold).
   auto& contexts = state.contexts;
   auto& histories = state.histories;
+  Batch& task = state.batch;
+  const std::string& model_id = task.requests.front().model_id;
   {
     if (task.compiled == nullptr) {
       // The model was retired between admission and batch formation; the
       // futures must still resolve — with the failure, not a hang.
       for (QueuedRequest& r : task.requests) {
         r.promise.set_exception(std::make_exception_ptr(std::runtime_error(
-            "AsyncServer: model retired before execution: " +
-            task.model_id)));
+            "AsyncServer: model retired before execution: " + model_id)));
       }
       completed_.fetch_add(task.requests.size(),
                            std::memory_order_relaxed);
       return;
     }
-    std::unique_ptr<ExecutionContext>& slot = contexts[task.model_id];
+    std::unique_ptr<ExecutionContext>& slot = contexts[model_id];
     if (slot == nullptr) {
       slot = std::make_unique<ExecutionContext>(task.compiled, profile_);
       if (config_.cache_budget_bytes > 0) {
@@ -544,21 +433,11 @@ void AsyncServer::execute_batch(std::size_t worker, BatchTask& task,
         std::chrono::duration<double, std::milli>(service_end - service_start)
             .count();
 
-    // Feed the origin shard's online estimators. Both are racy-lossy
-    // read-modify-writes on relaxed atomics by design: they steer flush
-    // timing and admission, never correctness.
+    // Feed the origin shard's queue-wait estimator: a racy-lossy
+    // read-modify-write on a relaxed atomic by design — it steers admission,
+    // never correctness.
     {
       Shard& origin = *shards_[task.shard];
-      const std::int64_t service_us =
-          static_cast<std::int64_t>(service_ms * 1000.0);
-      const std::int64_t old_service =
-          origin.service_est_us.load(std::memory_order_relaxed);
-      // EWMA (alpha 1/4): responsive to load shifts, stable across the
-      // batch-size mix.
-      origin.service_est_us.store(
-          old_service == 0 ? service_us
-                           : old_service + (service_us - old_service) / 4,
-          std::memory_order_relaxed);
       std::int64_t wait_est =
           origin.wait_p99_est_us.load(std::memory_order_relaxed);
       for (const QueuedRequest& r : task.requests) {
@@ -584,7 +463,7 @@ void AsyncServer::execute_batch(std::size_t worker, BatchTask& task,
       stats.catalog_rows += batch.catalog_rows;
       stats.scanned_rows += batch.scanned_rows;
       stats.scanned_bytes += batch.scanned_bytes;
-      ModelLane& lane = stats.models[task.model_id];
+      ModelLane& lane = stats.models[model_id];
       lane.version = task.version;
       ++lane.batches;
       lane.cache_hits += batch.cache_hits;
@@ -621,7 +500,7 @@ void AsyncServer::execute_batch(std::size_t worker, BatchTask& task,
     for (std::size_t i = 0; i < task.requests.size(); ++i) {
       QueuedRequest& r = task.requests[i];
       AsyncResult result;
-      result.model_id = task.model_id;
+      result.model_id = model_id;
       result.model_version = task.version;
       result.batch = batch.batch;
       result.service_ms = service_ms;

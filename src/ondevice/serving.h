@@ -8,31 +8,30 @@
 //
 // The pipeline is SHARDED and multi-tenant: producers enqueue requests
 // (each optionally routed to a `model_id`) into one of `shards` bounded
-// RequestQueues (shard = hash(model_id), so a model's traffic forms dense
-// micro-batches on one shard), a per-shard batch former turns them into
-// PER-MODEL dynamic micro-batches, and worker threads execute each
-// micro-batch through the fused run_batch path. A worker is pinned to a
-// primary shard but STEALS formed batches from other shards whenever its
-// own dispatch queue is empty, so a skewed model mix cannot strand capacity
-// on an idle shard. A closed-loop batch-1 drain is the same pipeline at
-// max_batch = 1, max_delay_us = 0.
+// RequestQueues (shard = hash(model_id), so a model's traffic lands on one
+// shard), and the `threads` workers take micro-batches straight off those
+// queues — there is no other thread. An idle worker pops the FIFO run of
+// same-model requests at the head of its primary shard's queue (at most
+// `max_batch`); when that queue is empty it takes a run from another shard
+// (a steal, so a skewed model mix cannot strand capacity on an idle shard),
+// and when every queue is empty it parks on its primary, re-scanning the
+// other shards every millisecond. No request is held back to grow a batch:
+// batches grow only while every worker is busy. max_batch = 1 is the
+// closed-loop batch-1 drain.
 //
 // Deadline awareness runs end to end: every request carries a deadline
-// (default `deadline_us` after enqueue; 0 = none). A shard flushes a
-// micro-batch EARLY once the oldest member's remaining slack drops below
-// the shard's projected service time (SLO-driven flush — the fixed
-// `max_delay_us` stays as an upper bound), and completions past their
-// deadline are counted as misses. With `shed` enabled the front door
-// applies admission control: once a shard's queue-wait p99 estimate
-// exceeds a request's deadline (and real backlog confirms it),
-// `try_submit` rejects and `submit` fails fast with a future that resolves
-// to RequestStatus::kShed — bounded-latency goodput instead of unbounded
+// (default `deadline_us` after enqueue; 0 = none), and completions past it
+// are counted as misses. With `shed` enabled the front door applies
+// admission control: once a shard's queue-wait p99 estimate exceeds a
+// request's deadline (and real backlog confirms it), `try_submit` rejects
+// and `submit` fails fast with a future that resolves to
+// RequestStatus::kShed — bounded-latency goodput instead of unbounded
 // queueing.
 //
 // Models live in a ModelRegistry; a `swap()` there is zero-downtime:
-// micro-batches pin their model version at formation, in-flight work
-// finishes on the old version, new batches pick up the new one, and the
-// old plan (plus its mmap) is destroyed when its refcount drains.
+// micro-batches pin their model version when a worker forms them, in-flight
+// work finishes on the old version, new batches pick up the new one, and
+// the old plan (plus its mmap) is destroyed when its refcount drains.
 // Worker-side hot-row caches are rebuilt cold on the first batch of a new
 // version so stale rows can never serve.
 //
@@ -75,7 +74,7 @@ struct ModelReport {
   std::string model_id;
   std::uint64_t version = 0;   // latest registry version that served traffic
   std::uint64_t requests = 0;
-  std::uint64_t batches = 0;   // micro-batches dispatched for THIS model
+  std::uint64_t batches = 0;   // micro-batches executed for THIS model
   double mean_batch = 0;       // requests / batches
   LatencyStats latency;        // end-to-end wall latency of this model's reqs
   // Peak per-worker context footprint of this model plus its shared plan —
@@ -92,10 +91,10 @@ struct ServingReport {
   LatencyStats latency;        // per-request end-to-end wall latency (ms)
   LatencyStats queue_wait;  // enqueue -> micro-batch picked up by a worker
   LatencyStats service;     // micro-batch execution wall time
-  std::uint64_t batches = 0;   // micro-batches dispatched
+  std::uint64_t batches = 0;   // micro-batches executed
   double mean_batch = 0;       // executed requests / batches
   int shards = 0;              // scheduler shards the drain ran with
-  std::uint64_t steals = 0;    // batches executed by a non-primary worker
+  std::uint64_t steals = 0;    // batches a worker took off a non-primary shard
 
   // Deadline / admission-control accounting.
   // `requests` counts everything submitted; shed requests never execute,
@@ -152,20 +151,19 @@ struct ServingReport {
 
 // ---------------------------------------------------------------------------
 // Asynchronous multi-tenant micro-batching pipeline:
-//   queue -> per-model scheduler -> workers (one ExecutionContext per
-//   (worker, model id), re-bound on version swap).
+//   shard queues -> workers (one ExecutionContext per (worker, model id),
+//   re-bound on version swap).
 
 struct AsyncServerConfig {
   int threads = 2;
-  // Scheduler shards: per-shard admission queue + batch former + dispatch
-  // queue. Requests route by hash(model_id); workers steal formed batches
-  // across shards. Must satisfy 1 <= shards <= threads (every shard needs
-  // a primary worker or a loaded shard could starve between steal scans).
+  // Scheduler shards: one admission queue each. Requests route by
+  // hash(model_id); idle workers steal batches across shards. Must satisfy
+  // 1 <= shards <= threads (every shard needs a primary worker or a loaded
+  // shard could starve between steal scans).
   int shards = 1;
-  Index max_batch = 8;          // flush a micro-batch at this size...
-  double max_delay_us = 200.0;  // ...or this long after its first request
+  Index max_batch = 8;  // most requests a worker takes as one micro-batch
   // Default per-request deadline, measured from enqueue. 0 disables
-  // deadline handling (no SLO flush, no miss accounting, no shedding).
+  // deadline handling (no miss accounting, no shedding).
   double deadline_us = 0.0;
   // Admission control: shed at submit()/try_submit() once the target
   // shard's queue-wait p99 estimate exceeds the request's deadline AND the
@@ -286,10 +284,11 @@ class AsyncServer {
   // table by the normal dense path.
   //
   // Routing is SESSION-affine, not model-affine: hash(session_id) picks
-  // the shard, so one session's updates all land on one former thread in
-  // submission order — the history append needs no lock and two updates of
-  // a session can never reorder. Deadlines and admission control behave
-  // exactly like submit() (a shed request does NOT append its item).
+  // the shard, so one session's updates all land in one queue in
+  // submission order, and the worker that pops a request appends its item
+  // under that queue's lock — two updates of a session can never reorder.
+  // Deadlines and admission control behave exactly like submit() (a shed
+  // request does NOT append its item).
   // `nprobe` < 0 uses the config default; 0 forces the exact full scan;
   // > 0 probes that many clusters through the model's catalog index (exact
   // scan when the model carries no valid index).
@@ -352,8 +351,7 @@ class AsyncServer {
   // Requests rejected by admission control (distinct from full-queue
   // rejections above): the estimated queue wait exceeded their deadline.
   std::uint64_t shed_total() const;
-  // Formed batches executed by a worker whose primary shard is not the
-  // batch's origin shard (lifetime).
+  // Batches a worker took from a shard other than its primary (lifetime).
   std::uint64_t steal_count() const {
     return steals_.load(std::memory_order_relaxed);
   }
@@ -378,47 +376,41 @@ class AsyncServer {
     SteadyClock::time_point enqueue_tp;
     // time_point::max() when the request carries no deadline.
     SteadyClock::time_point deadline_tp;
-    // Session workload (submit_next_item): `history` starts empty and is
-    // filled by the owning shard's former from its SessionStore.
+    // Session workload (submit_next_item): `history` starts empty (with
+    // session_history reserved) and is filled from the shard's SessionStore
+    // when a worker pops the request.
     bool is_session = false;
     std::uint64_t session_id = 0;
     std::int32_t new_item = 0;
     Index top_k = 0;  // rank the logits when > 0
     Index nprobe = 0;  // pruned scan when > 0 and the model has an index
   };
-  struct BatchTask {
-    std::string model_id;
-    // Pinned at micro-batch formation: a concurrent swap() cannot retarget
-    // an in-flight batch.
+  // A micro-batch a worker formed: the FIFO run of same-model requests it
+  // popped from one shard, with the model version pinned at formation so a
+  // concurrent swap() cannot retarget it.
+  struct Batch {
     std::shared_ptr<const CompiledModel> compiled;
     std::uint64_t version = 0;
     std::size_t shard = 0;  // origin shard (estimator feedback + stealing)
     std::vector<QueuedRequest> requests;
   };
-  // One scheduler shard: its own admission queue, batch-former thread, and
-  // dispatch queue of formed micro-batches, plus the two online estimators
-  // the deadline machinery feeds on. The estimators are plain atomics
-  // updated by workers with racy read-modify-write — a lost update skews an
-  // ESTIMATE, never correctness.
+  // One scheduler shard: its admission queue, its sessions, and the online
+  // queue-wait estimator admission control feeds on. The estimator is a
+  // plain atomic updated by workers with racy read-modify-write — a lost
+  // update skews an ESTIMATE, never correctness.
   struct Shard {
-    Shard(std::size_t queue_cap, std::size_t dispatch_cap)
-        : queue(queue_cap), dispatch(dispatch_cap) {}
+    explicit Shard(std::size_t queue_cap) : queue(queue_cap) {}
     RequestQueue<QueuedRequest> queue;
-    RequestQueue<BatchTask> dispatch;
     // Peak-decay queue-wait p99 estimate (µs): jumps to any new maximum,
     // decays 1/8 toward each smaller sample. Admission control compares
     // this against a request's deadline.
     std::atomic<std::int64_t> wait_p99_est_us{0};
-    // EWMA of micro-batch service wall time (µs): the projected cost of
-    // flushing a batch now — the SLO-driven flush triggers once a batch's
-    // oldest deadline is closer than this.
-    std::atomic<std::int64_t> service_est_us{0};
     std::atomic<std::uint64_t> shed{0};  // admission-control rejections
-    // Per-shard session state, owned and written ONLY by this shard's
-    // former thread (session-affine routing makes that single-writer by
-    // construction); its counters are atomics for cross-thread observers.
+    // Per-shard session state. Session-affine routing puts every update of
+    // a session in this shard's queue, and workers append under the queue
+    // lock as they pop, so updates apply in admission order; its counters
+    // are atomics for cross-thread observers.
     std::unique_ptr<SessionStore> sessions;
-    std::thread former;
   };
   // Per-(worker, model) slice of the per-batch accounting below.
   struct ModelLane {
@@ -457,7 +449,7 @@ class AsyncServer {
   QueuedRequest make_request(std::string model_id,
                              std::vector<std::int32_t> history,
                              double deadline_us) const;
-  // Validates config + default model and spawns the pipeline threads; the
+  // Validates config + default model and spawns the worker threads; the
   // shared tail of both constructors.
   void start();
   // Model-affine shard routing: one model's requests land on one shard so
@@ -472,17 +464,22 @@ class AsyncServer {
                    SteadyClock::time_point enqueue_tp,
                    SteadyClock::time_point deadline_tp) const;
   std::future<AsyncResult> resolve_shed(QueuedRequest request, Shard& shard);
-  void former_loop(std::size_t shard_index);
   void worker_loop(std::size_t worker);
-  // Thread-local state a worker threads through execute_batch: one
-  // ExecutionContext per model id (re-bound on version swap) plus a reused
-  // history scratch buffer.
+  // Thread-local state a worker threads through execute_batch: the batch it
+  // formed, one ExecutionContext per model id (re-bound on version swap),
+  // and a reused history scratch buffer.
   struct WorkerState {
+    Batch batch;
     std::unordered_map<std::string, std::unique_ptr<ExecutionContext>>
         contexts;
     std::vector<std::vector<std::int32_t>> histories;
   };
-  void execute_batch(std::size_t worker, BatchTask& task, WorkerState& state);
+  // Pops a micro-batch from shard `s` into state.batch (waiting until
+  // `deadline` for a first request) and pins its model version; false when
+  // nothing was popped.
+  bool form_batch(std::size_t s, SteadyClock::time_point deadline,
+                  WorkerState& state);
+  void execute_batch(std::size_t worker, WorkerState& state);
   void reset_stats();
   // Non-owning view of one request of a drain corpus: every driver
   // flattens to these, so none copies its corpus into a temporary just to
@@ -514,8 +511,8 @@ class AsyncServer {
   std::unique_ptr<ModelRegistry> owned_registry_;
   ModelRegistry* registry_ = nullptr;
   std::string default_model_;
-  // One entry per scheduler shard (producers -> former -> workers).
-  // unique_ptr: Shard holds queues with const members and a thread, so the
+  // One entry per scheduler shard (producers -> queue -> workers).
+  // unique_ptr: Shard holds a queue with const members and atomics, so the
   // vector needs stable, non-movable storage.
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<WorkerStats> worker_stats_;

@@ -12,12 +12,13 @@
 // session is evicted (counted in evicted_sessions()); its slot is scrubbed
 // before reuse so a recycled slot can never leak another session's items.
 //
-// Threading: AsyncServer keeps one SessionStore per shard, owned and
-// touched ONLY by that shard's batch-former thread — session-affine
-// routing (hash(session_id) picks the shard) means a session's updates all
-// arrive at that one thread in submission order, so the store needs no
-// lock. The two counters are atomics so report assembly can read them from
-// another thread after the formers quiesce.
+// Threading: the store itself takes no lock. AsyncServer keeps one
+// SessionStore per shard and touches it only under that shard's admission
+// queue lock, as a worker pops a request — session-affine routing
+// (hash(session_id) picks the shard) puts a session's updates in that one
+// queue in submission order, so appends apply in that order whichever
+// worker pops them. The two counters are atomics so report assembly can
+// read them from another thread without the queue lock.
 #pragma once
 
 #include <atomic>

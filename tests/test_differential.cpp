@@ -174,7 +174,6 @@ void check_all_paths(const MmapModel& model,
     AsyncServerConfig config;
     config.threads = 3;
     config.max_batch = 1;
-    config.max_delay_us = 0.0;
     AsyncServer server(model, tflite_profile(), config);
     Tensor served;
     server.serve(corpus, 1, 0.0, &served);
@@ -188,7 +187,6 @@ void check_all_paths(const MmapModel& model,
     AsyncServerConfig config;
     config.threads = 2;
     config.max_batch = 4;
-    config.max_delay_us = 100.0;
     config.queue_capacity = 8;
     AsyncServer server(model, tflite_profile(), config);
     Tensor served;
@@ -199,7 +197,7 @@ void check_all_paths(const MmapModel& model,
     }
   }
   // --- AsyncServer, SHARDED scheduler (work-stealing path) ----------------
-  // Same corpus through shards=threads with deadlines + SLO flush armed:
+  // Same corpus through shards=threads with deadlines armed:
   // batch composition and execution placement differ completely from the
   // single-queue drain above, yet every logit must stay bit-identical.
   {
@@ -207,7 +205,6 @@ void check_all_paths(const MmapModel& model,
     config.threads = 3;
     config.shards = 3;
     config.max_batch = 4;
-    config.max_delay_us = 100.0;
     config.deadline_us = 1e6;  // generous: exercises the deadline plumbing
     config.queue_capacity = 9;
     AsyncServer server(model, tflite_profile(), config);
@@ -246,7 +243,6 @@ void check_all_paths(const MmapModel& model,
     AsyncServerConfig config;
     config.threads = 2;
     config.max_batch = 8;
-    config.max_delay_us = 50.0;
     config.queue_capacity = 16;
     config.cache_budget_bytes = kCacheBudget;
     AsyncServer server(model, tflite_profile(), config);
@@ -271,7 +267,6 @@ void check_all_paths(const MmapModel& model,
     AsyncServerConfig config;
     config.threads = 2;
     config.max_batch = 4;
-    config.max_delay_us = 50.0;
     config.queue_capacity = 16;
     config.cache_budget_bytes = kCacheBudget;
     AsyncServer server(registry, "diff", tflite_profile(), config);
@@ -530,7 +525,6 @@ TEST_P(DifferentialTest, SessionTopKInvariantAcrossKernelsAndShards) {
         config.threads = shape.threads;
         config.shards = shape.shards;
         config.max_batch = 4;
-        config.max_delay_us = 100.0;
         config.session_capacity = 64;  // ample: zero evictions
         config.session_history = 16;
         AsyncServer server(model, tflite_profile(), config);
@@ -618,7 +612,6 @@ TEST_P(DifferentialTest, PrunedFullProbeMatchesExactScanEverywhere) {
           config.threads = shape.threads;
           config.shards = shape.shards;
           config.max_batch = 4;
-          config.max_delay_us = 100.0;
           config.session_capacity = 64;  // ample: zero evictions
           config.session_history = 16;
           config.nprobe = nprobe;

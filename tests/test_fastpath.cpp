@@ -193,31 +193,6 @@ TEST_F(FastPathTest, RunBatchLogitsBitIdenticalToSequentialRuns) {
   }
 }
 
-TEST_F(FastPathTest, BatchAmortizesDispatchOverhead) {
-  ModelConfig config =
-      small_config(TechniqueKind::kMemcom, ModelArch::kClassification);
-  RecModel model(config);
-  const std::string path = temp_path("amortize");
-  model.export_mcm(path);
-  const MmapModel mapped(path);
-  // tflite profile has a nonzero per-op dispatch overhead.
-  InferenceEngine engine(mapped, tflite_profile());
-  const auto histories = sample_histories();
-  double sequential_ms = 0.0;
-  Index per_run_ops = 0;
-  for (const auto& history : histories) {
-    const InferenceResult r = engine.run(history);
-    sequential_ms += r.total_ms;
-    per_run_ops = r.op_count;
-  }
-  const BatchResult batch = engine.run_batch(histories);
-  // One fused dispatch for the batch: same per-graph op count, and the
-  // simulated batch latency drops below the sequential sum because (B-1)
-  // dispatch charges disappear.
-  EXPECT_EQ(batch.op_count, per_run_ops);
-  EXPECT_LT(batch.total_ms, sequential_ms);
-}
-
 TEST_F(FastPathTest, MeterAccountingUnchangedByBatchedFastPath) {
   for (const TechniqueKind kind : kLookupTechniques) {
     ModelConfig config = small_config(kind, ModelArch::kRanking);

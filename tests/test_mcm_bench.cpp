@@ -87,7 +87,7 @@ TEST_F(McmBenchTest, AsyncModeReportsPipelineColumns) {
   const ToolResult result = run_tool(
       "\"" + path_ +
       "\" --runs 10 --threads 2 --requests 16 --repeat 2 --async "
-      "--max-batch 4 --max-delay-us 100 --cache-kb 32");
+      "--max-batch 4 --cache-kb 32");
   ASSERT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("async micro-batching pipeline"),
             std::string::npos);
@@ -217,6 +217,25 @@ TEST_F(McmBenchTest, PrunedSessionModeAdoptsFileIndex) {
   ASSERT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("catalog index: file-adopted (4 clusters)"),
             std::string::npos);
+}
+
+TEST_F(McmBenchTest, UnknownFlagFailsInsteadOfFallingBackToDefault) {
+  ModelConfig config;
+  config.embedding = {TechniqueKind::kMemcom, 300, 16, 32};
+  config.arch = ModelArch::kClassification;
+  config.output_vocab = 24;
+  config.seed = 13;
+  RecModel model(config);
+  model.export_mcm(path_);
+
+  // A typo for --nprobe: ignored, it would silently serve the exact scan.
+  const ToolResult result = run_tool(
+      "\"" + path_ +
+      "\" --runs 10 --threads 2 --requests 16 --repeat 2 --session --topk 5 "
+      "--nprobes 8");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("unknown flag --nprobes"), std::string::npos)
+      << result.output;
 }
 
 TEST_F(McmBenchTest, NprobeWithoutSessionFailsCleanly) {

@@ -11,9 +11,11 @@
 //     (shed_total()), never silently dropped.
 //   * deadline_missed is marked on executed requests that complete past
 //     their deadline, and the report's miss/shed/goodput columns add up.
-//   * The sharded scheduler (shards > 1) steals formed batches across
-//     shards under skewed per-model load, drains every shard, and produces
-//     logits bit-identical to the single-queue schedule.
+//   * The sharded scheduler (shards > 1) steals batches across shards under
+//     skewed per-model load, drains every shard, and produces logits
+//     bit-identical to the single-queue schedule.
+//   * Workers form micro-batches themselves: a busy worker comes back to a
+//     queued burst and takes it as batches of at most max_batch.
 //
 // The CI ThreadSanitizer job runs this suite (MEMCOM_SANITIZE=thread), and
 // the Release flake job repeats it.
@@ -25,6 +27,7 @@
 #include <future>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ondevice/registry.h"
@@ -87,7 +90,6 @@ TEST_F(SchedulerTest, ShedPropagatesThroughFuturesWithZeroLoss) {
   AsyncServerConfig config;
   config.threads = 1;
   config.max_batch = 1;
-  config.max_delay_us = 0.0;
   config.deadline_us = 0.001;  // ~zero slack
   config.shed = true;
   config.queue_capacity = 2;
@@ -239,7 +241,6 @@ TEST_F(SchedulerTest, ShedRateAndGoodputReportedUnderOverload) {
   AsyncServerConfig config;
   config.threads = 1;
   config.max_batch = 1;
-  config.max_delay_us = 0.0;
   config.deadline_us = 0.001;
   config.shed = true;
   config.queue_capacity = 2;
@@ -299,7 +300,6 @@ TEST_F(SchedulerTest, ShardedSkewedLoadStealsDrainsAndMatchesSingleQueue) {
     config.threads = 4;
     config.shards = shards;
     config.max_batch = 2;  // many small batches: plenty to steal
-    config.max_delay_us = 100.0;
     config.queue_capacity = 16;
     AsyncServer server(registry, ids.front(), tflite_profile(), config);
     std::vector<std::vector<float>> logits;
@@ -337,6 +337,47 @@ TEST_F(SchedulerTest, ShardedSkewedLoadStealsDrainsAndMatchesSingleQueue) {
   std::sort(sorted_sharded.begin(), sorted_sharded.end());
   std::sort(sorted_single.begin(), sorted_single.end());
   EXPECT_EQ(sorted_sharded, sorted_single);
+}
+
+TEST_F(SchedulerTest, BusyWorkerFormsBatchesFromTheQueuedBurst) {
+  // No thread holds requests back to batch them: an idle worker takes what
+  // is queued. A lone worker facing a burst therefore takes, each time it
+  // comes back, the FIFO run that queued up behind its last batch — capped
+  // at max_batch. A wide output layer keeps each forward far slower than a
+  // submit, so the burst outruns the worker — unless the host preempts the
+  // submitting thread, so a burst may be retried. A worker that pops one
+  // request at a time reads mean_batch == 1 on every burst.
+  const std::string path = export_model(TechniqueKind::kMemcom, "burst",
+                                        /*seed=*/516, /*output_vocab=*/4096);
+  const MmapModel model(path);
+  AsyncServerConfig config;
+  config.threads = 1;
+  config.max_batch = 8;
+  AsyncServer server(model, tflite_profile(), config);
+
+  std::mt19937 rng(27);
+  std::vector<std::vector<std::int32_t>> burst;
+  for (int i = 0; i < 64; ++i) {
+    burst.push_back(random_history(rng));
+  }
+  double mean_batch = 0.0;
+  for (int attempt = 0; attempt < 5 && mean_batch < 2.0; ++attempt) {
+    const ServingReport report = server.serve(burst, 1);
+    EXPECT_EQ(static_cast<std::size_t>(report.latency.runs), burst.size());
+    EXPECT_LE(report.mean_batch, static_cast<double>(config.max_batch));
+    mean_batch = report.mean_batch;
+  }
+  EXPECT_GE(mean_batch, 2.0);
+
+  std::vector<std::future<AsyncResult>> futures;
+  for (const auto& history : burst) {
+    futures.push_back(server.submit(history));
+  }
+  for (auto& f : futures) {
+    const AsyncResult result = f.get();
+    EXPECT_GE(result.batch, 1);
+    EXPECT_LE(result.batch, config.max_batch);
+  }
 }
 
 TEST_F(SchedulerTest, ShardConfigIsValidated) {
@@ -460,12 +501,18 @@ TEST_F(SchedulerTest, SessionEvictionCountsAndReportSliceFills) {
   EXPECT_EQ(plain.active_sessions, 4);
 }
 
-TEST_F(SchedulerTest, SessionAffinityKeepsUpdatesOrderedAcrossShards) {
+// (threads, shards): three shards with a primary worker each, and three
+// workers popping one shard's session stream.
+class SessionLayoutTest
+    : public SchedulerTest,
+      public ::testing::WithParamInterface<std::pair<int, int>> {};
+
+TEST_P(SessionLayoutTest, SessionAffinityKeepsUpdatesOrderedAcrossShards) {
   const std::string path = export_model(TechniqueKind::kMemcom, "sess_shard");
   const MmapModel model(path);
   AsyncServerConfig config;
-  config.threads = 3;
-  config.shards = 3;
+  config.threads = GetParam().first;
+  config.shards = GetParam().second;
   config.session_capacity = 64;
   config.session_history = 16;
   AsyncServer server(model, tflite_profile(), config);
@@ -473,7 +520,7 @@ TEST_F(SchedulerTest, SessionAffinityKeepsUpdatesOrderedAcrossShards) {
 
   // Interleave many sessions' updates; every session's FINAL top-k must
   // match the engine run on that session's full in-order history, which
-  // can only hold if per-session updates never reorder across formers.
+  // can only hold if per-session updates never reorder across workers.
   const int sessions = 12;
   const int rounds = 6;
   std::vector<std::vector<std::future<AsyncResult>>> futures(
@@ -504,6 +551,14 @@ TEST_F(SchedulerTest, SessionAffinityKeepsUpdatesOrderedAcrossShards) {
   }
   EXPECT_EQ(server.active_sessions(), sessions);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, SessionLayoutTest,
+    ::testing::Values(std::pair<int, int>{3, 3}, std::pair<int, int>{3, 1}),
+    [](const ::testing::TestParamInfo<std::pair<int, int>>& info) {
+      return "threads" + std::to_string(info.param.first) + "_shards" +
+             std::to_string(info.param.second);
+    });
 
 TEST_F(SchedulerTest, SessionConfigValidated) {
   const std::string path = export_model(TechniqueKind::kMemcom, "sess_cfg");

@@ -1,4 +1,4 @@
-// Batch-1 AsyncServer drains (max_batch 1, max_delay_us 0: the closed-loop
+// Batch-1 AsyncServer drains (max_batch 1: the closed-loop
 // configuration): threaded serving over one shared MmapModel must produce
 // bit-identical logits to sequential single-engine runs, and the report
 // (QPS, percentiles, request counts) must be internally consistent.
@@ -65,12 +65,11 @@ std::vector<std::vector<std::int32_t>> make_requests(int count) {
   return requests;
 }
 
-// One request per micro-batch, flushed the moment it arrives.
+// One request per micro-batch.
 AsyncServerConfig batch_one(int threads) {
   AsyncServerConfig config;
   config.threads = threads;
   config.max_batch = 1;
-  config.max_delay_us = 0.0;
   return config;
 }
 

@@ -201,7 +201,6 @@ TEST_F(AsyncStressTest, MultiProducerNoLossNoDuplicationBitExact) {
   AsyncServerConfig config;
   config.threads = 3;
   config.max_batch = 4;
-  config.max_delay_us = 100.0;
   config.queue_capacity = 8;  // small on purpose: submit() must block
   config.cache_budget_bytes = 16 * 1024;
 
@@ -287,12 +286,10 @@ TEST_F(AsyncStressTest, LogitMultisetIsScheduleIndependent) {
   AsyncServerConfig serial;
   serial.threads = 1;
   serial.max_batch = 1;
-  serial.max_delay_us = 0.0;
   serial.queue_capacity = 4;
   AsyncServerConfig batched;
   batched.threads = 4;
   batched.max_batch = 16;
-  batched.max_delay_us = 300.0;
   batched.queue_capacity = 32;
   batched.cache_budget_bytes = 64 * 1024;
 
@@ -317,7 +314,6 @@ TEST_F(AsyncStressTest, ReportIsInternallyConsistent) {
   AsyncServerConfig config;
   config.threads = 2;
   config.max_batch = 8;
-  config.max_delay_us = 200.0;
   config.queue_capacity = 16;
   config.cache_budget_bytes = 32 * 1024;
   AsyncServer server(model, tflite_profile(), config);
@@ -392,7 +388,6 @@ TEST_F(AsyncStressTest, HotSwapUnderConcurrentTrafficIsBitExactPerVersion) {
   AsyncServerConfig server_config;
   server_config.threads = 2;
   server_config.max_batch = 4;
-  server_config.max_delay_us = 100.0;
   server_config.queue_capacity = 8;
   server_config.cache_budget_bytes = 16 * 1024;
 
@@ -482,7 +477,6 @@ TEST_F(AsyncStressTest, IdleWorkerLaneReleasesSwappedPlanUnderOtherTraffic) {
   AsyncServerConfig config;
   config.threads = 1;  // deterministic: one worker owns both lanes
   config.max_batch = 2;
-  config.max_delay_us = 50.0;
 
   AsyncServer server(registry, "a", tflite_profile(), config);
   std::mt19937 rng(515);
@@ -542,7 +536,6 @@ TEST_F(AsyncStressTest, MixedModelTrafficRoutesAndReportsPerModel) {
   AsyncServerConfig config;
   config.threads = 2;
   config.max_batch = 4;
-  config.max_delay_us = 100.0;
   config.queue_capacity = 16;
   config.cache_budget_bytes = 16 * 1024;
   AsyncServer server(registry, "small", tflite_profile(), config);
@@ -598,7 +591,6 @@ TEST_F(AsyncStressTest, TrySubmitRejectsWhenQueueSaturated) {
   AsyncServerConfig config;
   config.threads = 1;
   config.max_batch = 2;
-  config.max_delay_us = 50.0;
   config.queue_capacity = 2;
   AsyncServer server(model, tflite_profile(), config);
 

@@ -3,8 +3,8 @@
 //
 //   ./mcm_bench model.mcm [--runs 1000] [--threads 4] [--requests 256]
 //               [--repeat 8] [--seq-len 32] [--profile coreml|tflite]
-//               [--async] [--max-batch 8] [--max-delay-us 200]
-//               [--queue-cap 256] [--cache-kb 0] [--arrival-qps 0]
+//               [--async] [--max-batch 8] [--queue-cap 256]
+//               [--cache-kb 0] [--arrival-qps 0]
 //               [--shards 1] [--deadline-us 0] [--shed]
 //               [--session] [--topk K] [--nprobe N] [--clusters N]
 //   ./mcm_bench model.mcm --cold-start N
@@ -25,11 +25,11 @@
 // identity metadata must declare a higher model_version to be accepted.
 //
 // Scheduler knobs (both async modes): --shards N runs the sharded
-// scheduler (per-shard queue + batch former, work-stealing workers;
-// requires N <= threads), --deadline-us D attaches a completion deadline
-// to every request (SLO-driven early flush + miss accounting), and --shed
-// enables admission control (requests are refused with a shed status once
-// a shard's queue-wait estimate exceeds the deadline).
+// scheduler (one queue per shard, work-stealing workers; requires
+// N <= threads), --deadline-us D attaches a completion deadline to every
+// request (miss accounting), and --shed enables admission control
+// (requests are refused with a shed status once a shard's queue-wait
+// estimate exceeds the deadline). An unknown flag is an error (exit 2).
 //
 // --session drives the session-based next-item workload instead of replayed
 // histories: events touch Zipf-less round-robin sessions through
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     std::cerr << "usage: mcm_bench <model.mcm> [--runs N] [--threads N] "
                  "[--requests N] [--repeat N] [--seq-len L] "
                  "[--profile coreml|tflite] [--async] [--max-batch N] "
-                 "[--max-delay-us U] [--queue-cap N] [--cache-kb K] "
+                 "[--queue-cap N] [--cache-kb K] "
                  "[--arrival-qps Q] [--shards N] [--deadline-us D] "
                  "[--shed] [--session] [--topk K] [--nprobe N] "
                  "[--clusters N] [--cold-start N]\n"
@@ -123,7 +123,6 @@ int main(int argc, char** argv) {
   const Index seq_len = flags.get_int("seq-len", 32);
   const bool async = flags.get_bool("async", false);
   const Index max_batch = flags.get_int("max-batch", 8);
-  const double max_delay_us = flags.get_double("max-delay-us", 200.0);
   const Index queue_cap = flags.get_int("queue-cap", 256);
   const Index cache_kb = flags.get_int("cache-kb", 0);
   const double arrival_qps = flags.get_double("arrival-qps", 0.0);
@@ -132,16 +131,26 @@ int main(int argc, char** argv) {
   const bool shed = flags.get_bool("shed", false);
   const bool session = flags.get_bool("session", false);
   const Index top_k = flags.get_int("topk", 10);
+  const Index nprobe = flags.get_int("nprobe", 0);
+  const Index clusters = flags.get_int("clusters", 0);
+  const std::int64_t cold_start = flags.get_int("cold-start", 0);
+  const std::string profile_name = flags.get_string("profile", "tflite");
+  const std::int64_t swap_after = flags.get_int("swap-after", 0);
+  // Every flag the tool reads is read above: anything left is a typo (say
+  // --nprobes for --nprobe) that must not silently fall back to a default.
+  if (const auto unknown = flags.unread(); !unknown.empty()) {
+    std::cerr << "mcm_bench: unknown flag --" << unknown.front() << "\n";
+    return 2;
+  }
   if (runs < 1 || threads < 1 || request_count < 1 || repeat < 1 ||
       seq_len < 1) {
     std::cerr << "mcm_bench: --runs/--threads/--requests/--repeat/--seq-len "
                  "must all be positive\n";
     return 2;
   }
-  if (max_batch < 1 || queue_cap < 1 || max_delay_us < 0.0 || cache_kb < 0 ||
-      arrival_qps < 0.0) {
+  if (max_batch < 1 || queue_cap < 1 || cache_kb < 0 || arrival_qps < 0.0) {
     std::cerr << "mcm_bench: --max-batch/--queue-cap must be positive; "
-                 "--max-delay-us/--cache-kb/--arrival-qps non-negative\n";
+                 "--cache-kb/--arrival-qps non-negative\n";
     return 2;
   }
   if (shards < 1 || shards > threads) {
@@ -170,8 +179,6 @@ int main(int argc, char** argv) {
     std::cerr << "mcm_bench: --topk only ranks the --session workload\n";
     return 2;
   }
-  const Index nprobe = flags.get_int("nprobe", 0);
-  const Index clusters = flags.get_int("clusters", 0);
   if (flags.has("nprobe") && !session) {
     std::cerr << "mcm_bench: --nprobe only prunes the --session workload\n";
     return 2;
@@ -205,7 +212,6 @@ int main(int argc, char** argv) {
                  "--models\n";
     return 2;
   }
-  const std::int64_t cold_start = flags.get_int("cold-start", 0);
   if (flags.has("cold-start") && cold_start < 1) {
     std::cerr << "mcm_bench: --cold-start must be positive\n";
     return 2;
@@ -215,7 +221,6 @@ int main(int argc, char** argv) {
                  "--models\n";
     return 2;
   }
-  const std::string profile_name = flags.get_string("profile", "tflite");
   if (profile_name != "tflite" && profile_name != "coreml") {
     std::cerr << "mcm_bench: unknown --profile " << profile_name
               << " (expected coreml|tflite)\n";
@@ -223,7 +228,6 @@ int main(int argc, char** argv) {
   }
   const DeviceProfile profile =
       profile_name == "tflite" ? tflite_profile() : coreml_profile("all");
-  const std::int64_t swap_after = flags.get_int("swap-after", 0);
   if (swap_after < 0) {
     std::cerr << "mcm_bench: --swap-after must be non-negative\n";
     return 2;
@@ -284,7 +288,6 @@ int main(int argc, char** argv) {
     config.threads = threads;
     config.shards = shards;
     config.max_batch = max_batch;
-    config.max_delay_us = max_delay_us;
     config.deadline_us = deadline_us;
     config.shed = shed;
     config.queue_capacity = static_cast<std::size_t>(queue_cap);
@@ -492,8 +495,7 @@ int main(int argc, char** argv) {
   std::cout << "single-input latency (" << runs << " runs):\n"
             << latency.to_string() << "\n";
 
-  // Threaded batch-1 serving throughput: one request per micro-batch,
-  // flushed on arrival.
+  // Threaded batch-1 serving throughput: one request per micro-batch.
   TextTable serving({"threads", "requests", "qps", "p50 ms", "p95 ms",
                      "p99 ms", "wall ms"});
   std::vector<int> thread_counts = {1};
@@ -504,7 +506,6 @@ int main(int argc, char** argv) {
     AsyncServerConfig config;
     config.threads = t;
     config.max_batch = 1;
-    config.max_delay_us = 0.0;
     AsyncServer server(model, profile, config);
     server.serve(requests, 1);  // warm-up
     const ServingReport report = server.serve(requests, repeat);
@@ -523,7 +524,6 @@ int main(int argc, char** argv) {
     config.threads = threads;
     config.shards = shards;
     config.max_batch = max_batch;
-    config.max_delay_us = max_delay_us;
     config.deadline_us = deadline_us;
     config.shed = shed;
     config.queue_capacity = static_cast<std::size_t>(queue_cap);
@@ -557,7 +557,6 @@ int main(int argc, char** argv) {
     config.threads = threads;
     config.shards = shards;
     config.max_batch = max_batch;
-    config.max_delay_us = max_delay_us;
     config.deadline_us = deadline_us;
     config.shed = shed;
     config.queue_capacity = static_cast<std::size_t>(queue_cap);
