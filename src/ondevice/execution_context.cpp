@@ -53,11 +53,10 @@ void ExecutionContext::resize_scratch() {
   pooled_.resize(static_cast<std::size_t>(e));
   std::fill(pooled_.begin(), pooled_.end(), 0.0f);
   row_.resize(static_cast<std::size_t>(std::max(e, plan.factor_dim())), 0.0f);
-  row2_.resize(static_cast<std::size_t>(
-                   std::max({e, plan.hidden_dim(), plan.output_dim()})),
-               0.0f);
+  row2_.resize(static_cast<std::size_t>(e), 0.0f);
   hidden_.resize(static_cast<std::size_t>(plan.hidden_dim()), 0.0f);
   logits_.resize(static_cast<std::size_t>(plan.output_dim()), 0.0f);
+  tile_.resize(static_cast<std::size_t>(kDenseTile), 0.0f);
   onehot_.resize(plan.uses_onehot_path()
                      ? static_cast<std::size_t>(plan.hash_size())
                      : 0,
@@ -342,37 +341,48 @@ void ExecutionContext::apply_batchnorm(const BatchNormPlan& bn, float* x) {
   ++op_count_;
 }
 
-void ExecutionContext::apply_dense(const DensePlan& dense, const float* x,
-                                   float* y) {
+void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
+                                        const float* xs, float* const* ys) {
   const Index in = dense.in;
   const Index out = dense.out;
-  // One full-range touch covers the same pages as streaming every row.
+  // One full-range touch per sweep covers the same pages as streaming every
+  // row; the meter is a page set, so the row count does not matter.
   touch(dense.weight, 0, in * out);
-  std::fill(y, y + out, 0.0f);
+  touch(dense.bias_ref, 0, out);
   const KernelSet& ker = compiled_->kernels();
-  if (dense.weight.f32 != nullptr) {
-    // Unconditional MAC over every row: a real dense matmul kernel pays the
-    // full in·out cost, so the modeled latency must not scale with post-ReLU
-    // sparsity of x (zero rows contribute ±0 and leave y unchanged).
-    const float* weight = dense.weight.f32;
-    for (Index k = 0; k < in; ++k) {
-      ker.axpy(y, x[k], weight + k * out, out);
+  const float* f32 = dense.weight.f32;
+  float* tile = tile_.data();
+  for (Index c0 = 0; c0 < out; c0 += kDenseTile) {
+    const Index width = std::min(kDenseTile, out - c0);
+    for (Index r = 0; r < rows; ++r) {
+      std::fill(ys[r] + c0, ys[r] + c0 + width, 0.0f);
     }
-  } else {
-    // Every weight row is dequantized regardless of activation sparsity, so
-    // the modeled int8/f16 dense latency stays that of a real streaming
-    // matmul kernel rather than scaling with post-ReLU zeros.
     for (Index k = 0; k < in; ++k) {
-      ker.dequant_span(dense.weight.src, k * out, out, row2_.data());
-      const float xv = x[k];
-      if (xv != 0.0f) {
-        ker.axpy(y, xv, row2_.data(), out);
+      if (f32 != nullptr) {
+        // Unconditional MAC straight from the mapping: a real dense matmul
+        // pays the full in·out cost whatever the post-ReLU sparsity of x
+        // (zero rows contribute ±0 and leave y unchanged).
+        const float* w = f32 + k * out + c0;
+        for (Index r = 0; r < rows; ++r) {
+          ker.axpy(ys[r] + c0, xs[r * in + k], w, width);
+        }
+        continue;
+      }
+      // Every weight tile is decoded regardless of activation sparsity —
+      // once for the whole micro-batch — and rows with x[k] == 0 skip it.
+      ker.dequant_span(dense.weight.src, k * out + c0, width, tile);
+      for (Index r = 0; r < rows; ++r) {
+        const float xv = xs[r * in + k];
+        if (xv != 0.0f) {
+          ker.axpy(ys[r] + c0, xv, tile, width);
+        }
       }
     }
+    for (Index r = 0; r < rows; ++r) {
+      ker.acc_add(ys[r] + c0, dense.bias.data() + c0, width);
+    }
   }
-  touch(dense.bias_ref, 0, out);
-  ker.acc_add(y, dense.bias.data(), out);
-  ++op_count_;
+  op_count_ += rows;
 }
 
 const float* ExecutionContext::forward_trunk(const std::int32_t* ids,
@@ -591,7 +601,9 @@ BatchResult ExecutionContext::run_batch(
   const RowCacheStats before = row_cache_stats();
   BatchResult result;
   result.batch = static_cast<Index>(histories.size());
-  const Index dim = compiled_->output_dim();
+  const CompiledModel& plan = *compiled_;
+  const Index dim = plan.output_dim();
+  const Index in = plan.out().in;
   result.logits = Tensor({result.batch, dim});
   if (top_k > 0) {
     check(topk_out != nullptr, "run_batch: top_k > 0 needs topk_out");
@@ -600,36 +612,57 @@ BatchResult ExecutionContext::run_batch(
   check(nprobes == nullptr ||
             static_cast<Index>(nprobes->size()) == result.batch,
         "run_batch: nprobes size mismatch");
-  // Exact ranked rows scan the whole stored catalog (weight + bias blobs);
-  // computed once, charged per exact ranked row below.
-  const std::uint64_t exact_scan_bytes =
-      compiled_->out().weight.entry->byte_size +
-      compiled_->out().bias_ref.entry->byte_size;
+  const auto is_pruned = [&](Index b) {
+    return top_k > 0 && nprobes != nullptr &&
+           (*nprobes)[static_cast<std::size_t>(b)] > 0 &&
+           plan.has_catalog_index();
+  };
+
+  // Phase 1: every row's trunk. Exact rows park theirs in the [rows, in]
+  // arena for the shared sweep; pruned rows finish here on their own.
+  trunks_.resize(static_cast<std::size_t>(result.batch * in));
+  exact_logits_.clear();
   for (Index b = 0; b < result.batch; ++b) {
     const auto& history = histories[static_cast<std::size_t>(b)];
-    const Index nprobe =
-        nprobes != nullptr ? (*nprobes)[static_cast<std::size_t>(b)] : 0;
-    const bool pruned =
-        top_k > 0 && nprobe > 0 && compiled_->has_catalog_index();
-    if (pruned) {
-      forward_pruned(history.data(), static_cast<Index>(history.size()),
-                     nprobe, top_k, &(*topk_out)[static_cast<std::size_t>(b)],
+    const Index length = static_cast<Index>(history.size());
+    float* logits_row = &result.logits.at2(b, 0);
+    if (is_pruned(b)) {
+      forward_pruned(history.data(), length,
+                     (*nprobes)[static_cast<std::size_t>(b)], top_k,
+                     &(*topk_out)[static_cast<std::size_t>(b)],
                      &result.scanned_rows, &result.scanned_bytes);
-    } else {
-      forward_scratch(history.data(), static_cast<Index>(history.size()));
-      if (top_k > 0) {
-        (*topk_out)[static_cast<std::size_t>(b)] =
-            topk_select(logits_.data(), dim, top_k);
-        result.scanned_rows += static_cast<std::uint64_t>(dim);
-        result.scanned_bytes += exact_scan_bytes;
-      }
+      std::memcpy(logits_row, logits_.data(),
+                  static_cast<std::size_t>(dim) * sizeof(float));
+      continue;
     }
-    if (top_k > 0) {
-      ++result.ranked_rows;
-      result.catalog_rows += static_cast<std::uint64_t>(dim);
+    RawForward raw;
+    const float* trunk = forward_trunk(history.data(), length, raw);
+    std::copy(trunk, trunk + in,
+              trunks_.begin() + static_cast<std::ptrdiff_t>(
+                                    exact_logits_.size() * in));
+    exact_logits_.push_back(logits_row);
+    activation_bytes_ += dim * 4 + plan.embed_dim() * 4;
+    meter_.note_activation_bytes(activation_bytes_);
+  }
+
+  // Phase 2: one output sweep for all exact rows, straight into their
+  // logits rows, then each ranked row's top-k off its own row.
+  if (!exact_logits_.empty()) {
+    apply_dense_rows(plan.out(), static_cast<Index>(exact_logits_.size()),
+                     trunks_.data(), exact_logits_.data());
+  }
+  // Exact ranked rows scan the whole stored catalog (weight + bias blobs).
+  const std::uint64_t exact_scan_bytes = plan.out().weight.entry->byte_size +
+                                         plan.out().bias_ref.entry->byte_size;
+  for (Index b = 0; b < result.batch && top_k > 0; ++b) {
+    ++result.ranked_rows;
+    result.catalog_rows += static_cast<std::uint64_t>(dim);
+    if (!is_pruned(b)) {
+      (*topk_out)[static_cast<std::size_t>(b)] =
+          topk_select(&result.logits.at2(b, 0), dim, top_k);
+      result.scanned_rows += static_cast<std::uint64_t>(dim);
+      result.scanned_bytes += exact_scan_bytes;
     }
-    std::memcpy(&result.logits.at2(b, 0), logits_.data(),
-                static_cast<std::size_t>(dim) * sizeof(float));
   }
   if (before.enabled) {
     const RowCacheStats after = row_cache_stats();

@@ -67,6 +67,10 @@ struct BatchResult {
 
 class ExecutionContext {
  public:
+  // Output columns per dense sweep tile: 4 KB of floats, so the decoded
+  // tile plus a micro-batch's row tiles stay L1-resident across all k.
+  static constexpr Index kDenseTile = 1024;
+
   ExecutionContext(std::shared_ptr<const CompiledModel> compiled,
                    DeviceProfile profile);
 
@@ -90,10 +94,17 @@ class ExecutionContext {
   // Batched forward + per-row top-k over the logits — the session
   // workload's full-catalog ranking (the output dense layer IS the
   // compressed catalog scan; see ondevice/topk.h for the deterministic
-  // ordering contract). When `top_k` > 0, `topk_out` is resized to [batch]
-  // and row b receives the best min(top_k, output_dim) ids of request b,
-  // selected straight off the logits scratch before the next row
-  // overwrites it. Ranking lives here so every serving path — worker
+  // ordering contract).
+  //
+  // Two phases. First every row runs its trunk; exact rows park the trunk
+  // vector in a [rows, in] arena. Then ONE output sweep scores all exact
+  // rows (ranked or plain) together, straight into their result.logits
+  // rows: each catalog weight tile is decoded once per micro-batch instead
+  // of once per row (see apply_dense_rows — per element the sum order is
+  // the single-row order, so every row stays bit-identical to run_view()).
+  // When `top_k` > 0, `topk_out` is resized to [batch] and row b receives
+  // the best min(top_k, output_dim) ids of request b, selected off its
+  // logits row. Ranking lives here so every serving path — worker
   // micro-batches, bench — breaks ties identically.
   //
   // `nprobes` (optional, per row, parallel to `histories`) turns a row's
@@ -158,7 +169,8 @@ class ExecutionContext {
   const float* forward_trunk(const std::int32_t* ids, Index length,
                              RawForward& raw);
   // Computes logits into logits_; returns raw timings. The code path
-  // behind run_view() and exact run_batch() rows.
+  // behind run_view(); run_batch() runs the same trunk and output sweep
+  // for many rows at once.
   RawForward forward_scratch(const std::int32_t* ids, Index length);
   // Pruned ranked forward: trunk → centroid probe → per-column replay of
   // only the probed clusters' catalog columns, each bit-identical to the
@@ -176,8 +188,20 @@ class ExecutionContext {
   void embed_onehot_pooled(const std::int32_t* ids, Index length);
 
   void apply_batchnorm(const BatchNormPlan& bn, float* x);
-  // y[out] = x[in] * W[in,out] + b[out]
-  void apply_dense(const DensePlan& dense, const float* x, float* y);
+  // ys[r][out] = xs[r*in .. r*in+in) * W[in,out] + b[out] for r < rows.
+  //
+  // One column-tiled sweep serves every row: each kDenseTile-wide segment
+  // of weight row k is decoded once into tile_ and axpy'd into every row's
+  // tile, then the bias lands with acc_add. Per output element that is
+  // exactly the single-row order — zero, then x[k]*w[k,j] in increasing k
+  // (quantized weights skip x[k] == 0, f32 weights MAC every k straight
+  // from the mapping), then + b[j] — so a row's result does not depend on
+  // `rows`, the tile width, or which other rows share the sweep.
+  void apply_dense_rows(const DensePlan& dense, Index rows, const float* xs,
+                        float* const* ys);
+  void apply_dense(const DensePlan& dense, const float* x, float* y) {
+    apply_dense_rows(dense, 1, x, &y);
+  }
 
   // Cache partition tags for the plan's embedding tensors.
   static constexpr std::size_t kCacheTableA = 0;
@@ -195,9 +219,14 @@ class ExecutionContext {
   // --- Scratch arena (sized per bound plan; reused by every run) ---
   std::vector<float> pooled_;
   std::vector<float> row_;      // embedding-row scratch (quantized gathers)
-  std::vector<float> row2_;     // second gather / dense-row scratch
+  std::vector<float> row2_;     // second gather / projection scratch
   std::vector<float> hidden_;
   std::vector<float> logits_;
+  std::vector<float> tile_;     // one decoded weight-row tile, kDenseTile
+  // run_batch arenas (capacity kept across calls): the exact rows' trunk
+  // vectors [rows, in] and their logits rows in the BatchResult.
+  std::vector<float> trunks_;
+  std::vector<float*> exact_logits_;
   std::vector<float> onehot_;   // weinberger bag-of-words, size m
   std::vector<float> query_;    // pruned probe query [trunk; 1.0], in+1
 };

@@ -326,10 +326,23 @@ __attribute__((target("avx2,f16c"))) void dequant_span_impl(
                             peel, out + i);
         i += peel;
       }
-      for (; i + 8 <= count; i += 8) {
-        const Index j = offset + i;
-        const __m256 vscale = _mm256_set1_ps(src.group_scales[j / g]);
-        _mm256_storeu_ps(out + i, dequant8_i4(src.packed + j / 2, vscale));
+      // Walk the aligned body one scale group at a time: at most one
+      // division per call (none for spans shorter than a block, such as the
+      // pruned scan's single elements), and each group's scale is broadcast
+      // once for all its blocks.
+      if (i + 8 <= count) {
+        Index group = (offset + i) / g;
+        Index group_end = (group + 1) * g - offset;  // span index, 8-aligned
+        while (i + 8 <= count) {
+          const __m256 vscale = _mm256_set1_ps(src.group_scales[group]);
+          const Index stop = std::min(group_end, count);
+          for (; i + 8 <= stop; i += 8) {
+            _mm256_storeu_ps(
+                out + i, dequant8_i4(src.packed + (offset + i) / 2, vscale));
+          }
+          ++group;
+          group_end += g;
+        }
       }
       if (i < count) {
         dequantize_span_i4g(src.group_scales, src.packed, g, offset + i,

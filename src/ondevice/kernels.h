@@ -11,7 +11,10 @@
 //   * avx2   — x86-64 runtime-dispatched (checked via cpuid, never assumed
 //     at compile time). Element-wise kernels are BIT-IDENTICAL to scalar:
 //     they perform the same mul/add per element, just eight lanes at a
-//     time, and never contract mul+add into an FMA. The only kernel allowed
+//     time, and never contract mul+add into an FMA (nor may the compiler:
+//     every module builds with -ffp-contract=off, see src/CMakeLists.txt,
+//     which keeps FMA-baseline builds such as -march=x86-64-v3 from fusing
+//     the scalar reference). The only kernel allowed
 //     to diverge is `axpy_fma` (the fused dense MAC), which is opt-in via
 //     MEMCOM_ENABLE_FMA=1 and carries a documented tolerance instead of the
 //     bit-exactness contract (fused rounding differs from mul-then-add).

@@ -512,8 +512,12 @@ void AsyncServer::execute_batch(std::size_t worker, WorkerState& state) {
                             .count();
       result.deadline_missed = r.deadline_tp != Clock::time_point::max() &&
                                service_end > r.deadline_tp;
-      const float* row = &batch.logits.at2(static_cast<Index>(i), 0);
-      result.logits.assign(row, row + dim);
+      if (!r.is_session) {
+        // Session answers are their top-k; only plain requests pay for a
+        // copy of the full logits row.
+        const float* row = &batch.logits.at2(static_cast<Index>(i), 0);
+        result.logits.assign(row, row + dim);
+      }
       if (r.top_k > 0) {
         // The batch was ranked at the largest requested k; this request
         // keeps its own prefix (the ordering is total, so a prefix of a

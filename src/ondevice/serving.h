@@ -190,14 +190,16 @@ struct AsyncServerConfig {
 
 // How a submitted request left the server.
 enum class RequestStatus {
-  kOk = 0,    // executed; logits valid
+  kOk = 0,    // executed; logits (or the session top-k) valid
   kShed = 1,  // rejected by admission control; logits empty, never executed
 };
 
 // What a request's future resolves to.
 struct AsyncResult {
   RequestStatus status = RequestStatus::kOk;
-  std::vector<float> logits;  // [output_dim of the serving model]
+  // [output_dim of the serving model] for submit()/try_submit() answers;
+  // empty for submit_next_item() answers, which carry top_ids/top_scores.
+  std::vector<float> logits;
   std::string model_id;       // which registry entry served the request
   std::uint64_t model_version = 0;  // which version of it (swap audit trail)
   double queue_wait_ms = 0;   // enqueue -> worker picked the batch up
@@ -279,9 +281,10 @@ class AsyncServer {
   // Session-based next-item serving: appends `new_item` to the session's
   // bounded history ring (evicting the LRU session if the store is full),
   // runs `model_id` on the post-append history, and resolves the future
-  // with the request's logits PLUS the top-`k` item ids/scores over them —
-  // the full-catalog scan, executed against the model's compressed output
-  // table by the normal dense path.
+  // with the top-`k` item ids/scores over its logits — the full-catalog
+  // scan, executed against the model's compressed output table by the
+  // normal dense path. The logits row itself is not copied out
+  // (AsyncResult::logits stays empty).
   //
   // Routing is SESSION-affine, not model-affine: hash(session_id) picks
   // the shard, so one session's updates all land in one queue in

@@ -6,13 +6,19 @@
 
 #include "test_util.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 
 #include "data/synthetic.h"
+#include "ondevice/kernels.h"
 #include "repro/model.h"
 
 namespace memcom {
 namespace {
+
+using test::ScopedEnv;
 
 class EngineTest : public ::testing::Test {
  protected:
@@ -322,6 +328,219 @@ TEST_F(EngineTest, PaddedHistoryIgnoredInPooling) {
   const Tensor a = engine.run({5, 9, 0, 0}).logits;
   const Tensor b = engine.run({5, 9, 0, 0, 0, 0, 0, 0}).logits;
   EXPECT_TENSOR_NEAR(a, b, 1e-5f);
+}
+
+// --- batch-shared output sweep vs an independent oracle --------------------
+
+bool same_bits(const float* a, const float* b, Index n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
+// A ranking model whose trunk the test can compute exactly: a one-item
+// history pools to that item's embedding row, and bn1 folds to scale +1 on
+// even features and -1 on odd ones, with shift -0 on both. So the trunk is
+// relu(row) on even features and -relu(row) on odd ones, and every ReLU
+// zero becomes an exact +0 (even) or -0 (odd) entry. The output catalog is
+// 2 tiles + 13 columns wide (ragged last tile) and carries a catalog index
+// so a row can take the pruned path.
+struct SweepModel {
+  Index in = 0;
+  Index out = 0;
+  Tensor table;   // emb.table [vocab, in]
+  Tensor weight;  // out.weight as stored, dequantized [in, out]
+  Tensor bias;    // out.bias [out]
+  std::vector<float> scale;  // folded bn1
+  std::vector<float> shift;
+};
+
+constexpr Index kSweepVocab = 16;
+constexpr Index kSweepClusters = 6;
+
+SweepModel write_sweep_model(const std::string& path, Index in, DType dtype,
+                             Rng& rng) {
+  SweepModel m;
+  m.in = in;
+  m.out = 2 * ExecutionContext::kDenseTile + 13;
+  m.table = Tensor::randn({kSweepVocab, in}, rng, 1.0f);
+  const Tensor weight = Tensor::randn({in, m.out}, rng, 0.2f);
+  m.bias = Tensor::randn({m.out}, rng, 0.1f);
+  const float unit = std::sqrt(1.0f + 1e-5f);
+  Tensor gamma({in});
+  Tensor beta({in});
+  Tensor mean({in});
+  Tensor var({in});
+  for (Index s = 0; s < in; ++s) {
+    const bool odd = (s & 1) != 0;
+    gamma[s] = odd ? -unit : unit;
+    beta[s] = -0.0f;
+    mean[s] = odd ? -0.0f : 0.0f;
+    var[s] = 1.0f;
+    // The plan's fold, so the test's trunk matches it bit for bit.
+    m.scale.push_back(gamma[s] / std::sqrt(var[s] + 1e-5f));
+    m.shift.push_back(beta[s] - mean[s] * m.scale.back());
+  }
+  ModelWriter writer(path);
+  writer.set_metadata("arch", "ranking");
+  writer.set_metadata("technique", "uncompressed");
+  writer.set_metadata_int("vocab", kSweepVocab);
+  writer.set_metadata_int("embed_dim", in);
+  writer.set_metadata_int("knob", 0);
+  writer.set_metadata_int("output_dim", m.out);
+  writer.add_tensor("emb.table", m.table);
+  writer.add_tensor("bn1.gamma", gamma);
+  writer.add_tensor("bn1.beta", beta);
+  writer.add_tensor("bn1.mean", mean);
+  writer.add_tensor("bn1.var", var);
+  writer.add_tensor("out.weight", weight, dtype);
+  writer.add_tensor("out.bias", m.bias);
+  writer.set_emit_catalog_index(true, kSweepClusters);
+  writer.finish();
+  m.weight = MmapModel(path).load_tensor("out.weight");
+  return m;
+}
+
+std::vector<float> sweep_trunk(const SweepModel& m, std::int32_t id) {
+  std::vector<float> x(static_cast<std::size_t>(m.in));
+  for (Index s = 0; s < m.in; ++s) {
+    const float pooled = (0.0f + m.table.at2(id, s)) * 1.0f;
+    x[static_cast<std::size_t>(s)] =
+        std::max(pooled, 0.0f) * m.scale[static_cast<std::size_t>(s)] +
+        m.shift[static_cast<std::size_t>(s)];
+  }
+  return x;
+}
+
+// The plain triple loop: zero-init, increasing k, skip x == 0 on quantized
+// weights, then + bias. Every mul and add rounds on its own (the modules
+// build with -ffp-contract=off and this suite inherits it).
+std::vector<float> sweep_oracle(const SweepModel& m, const std::vector<float>& x,
+                                bool quantized) {
+  std::vector<float> y(static_cast<std::size_t>(m.out));
+  for (Index j = 0; j < m.out; ++j) {
+    float acc = 0.0f;
+    for (Index k = 0; k < m.in; ++k) {
+      const float xv = x[static_cast<std::size_t>(k)];
+      if (quantized && xv == 0.0f) {
+        continue;
+      }
+      acc = acc + xv * m.weight.at2(k, j);
+    }
+    y[static_cast<std::size_t>(j)] = acc + m.bias[j];
+  }
+  return y;
+}
+
+constexpr DType kSweepDtypes[] = {DType::kF32, DType::kF16, DType::kI8,
+                                  DType::kI4, DType::kI4G};
+
+TEST_F(EngineTest, BatchedOutputSweepMatchesOracleBitForBit) {
+  constexpr Index kTopK = 10;
+  Rng rng(1907);
+  for (const Index in : {Index{24}, Index{64}}) {
+    for (const DType dtype : kSweepDtypes) {
+      const std::string tag =
+          std::string(dtype_name(dtype)) + "_" + std::to_string(in);
+      const std::string path = temp_path("sweep_" + tag);
+      const SweepModel m = write_sweep_model(path, in, dtype, rng);
+      const bool quantized = dtype != DType::kF32;
+      std::vector<std::vector<float>> oracle;
+      bool pos_zero = false;
+      bool neg_zero = false;
+      for (std::int32_t id = 0; id < kSweepVocab; ++id) {
+        const std::vector<float> x = sweep_trunk(m, id);
+        for (const float v : x) {
+          pos_zero = pos_zero || (v == 0.0f && !std::signbit(v));
+          neg_zero = neg_zero || (v == 0.0f && std::signbit(v));
+        }
+        oracle.push_back(sweep_oracle(m, x, quantized));
+      }
+      ASSERT_TRUE(pos_zero && neg_zero) << tag << ": trunk lacks ±0 entries";
+      const auto mapped = std::make_shared<const MmapModel>(path);
+      for (const bool scalar : {true, false}) {
+        ScopedEnv simd("MEMCOM_DISABLE_SIMD", scalar ? "1" : nullptr);
+        ScopedEnv fma("MEMCOM_ENABLE_FMA", nullptr);
+        auto compiled = std::make_shared<const CompiledModel>(mapped);
+        ASSERT_TRUE(compiled->has_catalog_index())
+            << compiled->index_fallback_reason();
+        ExecutionContext context(compiled, tflite_profile());
+        const std::string where = tag + "/" + compiled->kernels().name;
+        for (const Index batch : {Index{1}, Index{3}, Index{8}}) {
+          std::vector<std::vector<std::int32_t>> histories;
+          std::vector<Index> nprobes;
+          for (Index b = 0; b < batch; ++b) {
+            histories.push_back({static_cast<std::int32_t>(1 + 2 * b)});
+            // Row 1 takes the pruned path (full probe: it must still rank
+            // exactly); every other row rides the shared sweep.
+            nprobes.push_back(b == 1 ? kSweepClusters : 0);
+          }
+          std::vector<std::vector<ScoredId>> topk;
+          const BatchResult ranked =
+              context.run_batch(histories, kTopK, &topk, &nprobes);
+          const BatchResult plain = context.run_batch(histories);
+          for (Index b = 0; b < batch; ++b) {
+            const std::vector<float>& want =
+                oracle[static_cast<std::size_t>(histories[b][0])];
+            const std::string row =
+                where + " B=" + std::to_string(batch) + " row " +
+                std::to_string(b);
+            EXPECT_TRUE(same_bits(plain.logits.data() + b * m.out, want.data(), m.out))
+                << row;
+            EXPECT_TRUE(
+                same_bits(ranked.logits.data() + b * m.out, want.data(), m.out))
+                << row;
+            const InferenceView view =
+                context.run_view(histories[static_cast<std::size_t>(b)]);
+            EXPECT_TRUE(same_bits(view.logits, want.data(), m.out)) << row;
+            const std::vector<ScoredId> expect =
+                topk_select(want.data(), m.out, kTopK);
+            const auto& got = topk[static_cast<std::size_t>(b)];
+            ASSERT_EQ(got.size(), expect.size()) << row;
+            for (std::size_t i = 0; i < expect.size(); ++i) {
+              EXPECT_EQ(got[i].id, expect[i].id) << row << " pos " << i;
+              EXPECT_TRUE(same_bits(&got[i].score, &expect[i].score, 1))
+                  << row << " pos " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The opt-in fused family trades bit-identity with scalar for a documented
+// tolerance, but the shared sweep must not change ITS results either: the
+// same axpy per element, so batched rows equal per-row run_view exactly.
+TEST_F(EngineTest, BatchedOutputSweepMatchesPerRowUnderFusedAxpy) {
+  ScopedEnv simd("MEMCOM_DISABLE_SIMD", nullptr);
+  ScopedEnv fma("MEMCOM_ENABLE_FMA", "1");
+  if (std::string(select_kernels().name) != "avx2+fma") {
+    GTEST_SKIP() << "no FMA hardware dispatched (" << select_kernels().name
+                 << ")";
+  }
+  Rng rng(1908);
+  for (const Index in : {Index{24}, Index{64}}) {
+    for (const DType dtype : kSweepDtypes) {
+      const std::string tag =
+          std::string(dtype_name(dtype)) + "_" + std::to_string(in);
+      const std::string path = temp_path("sweep_fma_" + tag);
+      const SweepModel m = write_sweep_model(path, in, dtype, rng);
+      auto compiled = std::make_shared<const CompiledModel>(
+          std::make_shared<const MmapModel>(path));
+      ASSERT_STREQ(compiled->kernels().name, "avx2+fma");
+      ExecutionContext context(compiled, tflite_profile());
+      std::vector<std::vector<std::int32_t>> histories;
+      for (std::int32_t id = 1; id <= 8; ++id) {
+        histories.push_back({id});
+      }
+      const BatchResult batched = context.run_batch(histories);
+      for (Index b = 0; b < batched.batch; ++b) {
+        const InferenceView view =
+            context.run_view(histories[static_cast<std::size_t>(b)]);
+        EXPECT_TRUE(same_bits(batched.logits.data() + b * m.out, view.logits, m.out))
+            << tag << " row " << b;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -20,6 +23,8 @@
 
 namespace memcom {
 namespace {
+
+using test::ScopedEnv;
 
 bool bits_equal(const float* a, const float* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(float)) == 0;
@@ -42,33 +47,6 @@ SpanSrc make_src(const QuantizedTensor& q) {
   return src;
 }
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) {
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 // --- packed_byte_span: the touch() undercount regression -------------------
 
@@ -215,20 +193,26 @@ TEST(KernelBitIdentity, DequantSpanMatchesScalarForEveryDtypeAndOffset) {
   const KernelSet& simd = select_kernels();
   const KernelSet& ref = scalar_kernels();
   Rng rng(602);
-  const Tensor t = Tensor::randn({100}, rng, 0.3f);
+  // 1003 elements: the last i4g group is partial for every group size
+  // below. Offsets step by 3, so spans start mid-group, mid-byte and off
+  // the 8-lane grid; the 3g+5 counts end mid-group after crossing at least
+  // three group seams.
+  const Tensor t = Tensor::randn({1003}, rng, 0.3f);
   struct Case {
     DType dtype;
     Index group_size;
   };
   for (const Case c : {Case{DType::kF32, 0}, Case{DType::kF16, 0},
                        Case{DType::kI8, 0}, Case{DType::kI4, 0},
-                       Case{DType::kI4G, 8}, Case{DType::kI4G, 32}}) {
+                       Case{DType::kI4G, 8}, Case{DType::kI4G, 32},
+                       Case{DType::kI4G, 64}, Case{DType::kI4G, 256}}) {
     const QuantizedTensor q = quantize(t, c.dtype, c.group_size);
     const SpanSrc src = make_src(q);
     const Index n = q.numel();
+    const Index seams = 3 * std::max<Index>(c.group_size, 8) + 5;
     for (Index offset = 0; offset < n; offset += 3) {
       for (const Index count : {Index{1}, Index{2}, Index{7}, Index{8},
-                                Index{17}, n - offset}) {
+                                Index{17}, seams, n - offset}) {
         if (count <= 0 || offset + count > n) {
           continue;
         }

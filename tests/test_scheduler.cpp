@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <random>
@@ -431,7 +432,8 @@ TEST_F(SchedulerTest, SessionHistoryAccumulatesAndRanksAgainstEngine) {
   // Four interactions of one session: request t must be served on the
   // history [items 0..t] (capped at session_history), and the returned
   // top-k must equal ranking the sequential engine's logits for that exact
-  // history — including the lower-id tie-break.
+  // history — ids and score bits, including the lower-id tie-break. Session
+  // answers carry the ranking only, never the logits row.
   const std::vector<std::int32_t> items = {3, 17, 42, 101, 7};
   std::vector<std::int32_t> window;
   for (std::size_t t = 0; t < items.size(); ++t) {
@@ -445,19 +447,17 @@ TEST_F(SchedulerTest, SessionHistoryAccumulatesAndRanksAgainstEngine) {
     if (window.size() > 4) {
       window.erase(window.begin());
     }
+    EXPECT_TRUE(result.logits.empty()) << "t=" << t;
     const Tensor logits = reference.run(window).logits;
-    ASSERT_EQ(result.logits.size(),
-              static_cast<std::size_t>(logits.numel()));
-    for (Index c = 0; c < logits.numel(); ++c) {
-      EXPECT_EQ(result.logits[static_cast<std::size_t>(c)], logits[c])
-          << "t=" << t << " logit " << c;
-    }
     const std::vector<ScoredId> expect =
         topk_select(logits.data(), logits.numel(), 5);
     ASSERT_EQ(result.top_ids.size(), expect.size()) << "t=" << t;
+    ASSERT_EQ(result.top_scores.size(), expect.size()) << "t=" << t;
     for (std::size_t j = 0; j < expect.size(); ++j) {
       EXPECT_EQ(result.top_ids[j], expect[j].id) << "t=" << t << " pos " << j;
-      EXPECT_EQ(result.top_scores[j], expect[j].score)
+      EXPECT_EQ(std::memcmp(&result.top_scores[j], &expect[j].score,
+                            sizeof(float)),
+                0)
           << "t=" << t << " pos " << j;
     }
   }

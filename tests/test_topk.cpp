@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -22,33 +24,7 @@
 namespace memcom {
 namespace {
 
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) {
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
+using test::ScopedEnv;
 
 void expect_same_ranking(const std::vector<ScoredId>& a,
                          const std::vector<ScoredId>& b, const char* tag) {

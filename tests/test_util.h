@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 #include "core/rng.h"
@@ -58,6 +59,40 @@ inline void ExpectTensorNear(const Tensor& actual, const Tensor& expected,
                              float tol = kTolDefault) {
   EXPECT_TRUE(TensorNear(actual, expected, tol));
 }
+
+// Sets (or, with a null value, unsets) an environment variable for the
+// enclosing scope and restores its previous state on exit. Kernel dispatch
+// reads MEMCOM_DISABLE_SIMD / MEMCOM_ENABLE_FMA at plan compile, so a test
+// flips them around the compile it wants pinned to a family.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_old_ = old != nullptr;
+    if (had_old_) {
+      old_ = old;
+    }
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (had_old_) {
+      ::setenv(name_, old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  bool had_old_ = false;
+  std::string old_;
+};
 
 // Test fixture with a deterministic Rng whose seed mixes the full test name,
 // so every test gets an independent but reproducible stream.
