@@ -342,7 +342,9 @@ void ExecutionContext::apply_batchnorm(const BatchNormPlan& bn, float* x) {
 }
 
 void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
-                                        const float* xs, float* const* ys) {
+                                        const float* xs, float* const* ys,
+                                        GatherRow* gathers,
+                                        std::size_t ngathers) {
   const Index in = dense.in;
   const Index out = dense.out;
   // One full-range touch per sweep covers the same pages as streaming every
@@ -351,30 +353,63 @@ void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
   touch(dense.bias_ref, 0, out);
   const KernelSet& ker = compiled_->kernels();
   const float* f32 = dense.weight.f32;
+  // A gathered column mirrors the family's axpy: the fused MAC when the
+  // family's axpy is the opt-in FMA ("fma" in the kernel-set name).
+  const bool fused = ngathers > 0 && std::strstr(ker.name, "fma") != nullptr;
   float* tile = tile_.data();
+  for (std::size_t g = 0; g < ngathers; ++g) {
+    gathers[g].lo = gathers[g].hi = 0;
+  }
   for (Index c0 = 0; c0 < out; c0 += kDenseTile) {
     const Index width = std::min(kDenseTile, out - c0);
+    bool gathered = false;
+    for (std::size_t g = 0; g < ngathers; ++g) {
+      GatherRow& row = gathers[g];
+      row.lo = row.hi;
+      while (row.hi < row.count && row.cols[row.hi] < c0 + width) {
+        ++row.hi;
+      }
+      gathered = gathered || row.hi > row.lo;
+    }
+    if (rows == 0 && !gathered) {
+      continue;
+    }
     for (Index r = 0; r < rows; ++r) {
       std::fill(ys[r] + c0, ys[r] + c0 + width, 0.0f);
     }
     for (Index k = 0; k < in; ++k) {
+      const float* w = tile;
       if (f32 != nullptr) {
         // Unconditional MAC straight from the mapping: a real dense matmul
         // pays the full in·out cost whatever the post-ReLU sparsity of x
         // (zero rows contribute ±0 and leave y unchanged).
-        const float* w = f32 + k * out + c0;
+        w = f32 + k * out + c0;
         for (Index r = 0; r < rows; ++r) {
           ker.axpy(ys[r] + c0, xs[r * in + k], w, width);
         }
-        continue;
+      } else {
+        // Every weight tile is decoded regardless of activation sparsity —
+        // once for the whole micro-batch — and rows with x[k] == 0 skip it.
+        ker.dequant_span(dense.weight.src, k * out + c0, width, tile);
+        for (Index r = 0; r < rows; ++r) {
+          const float xv = xs[r * in + k];
+          if (xv != 0.0f) {
+            ker.axpy(ys[r] + c0, xv, tile, width);
+          }
+        }
       }
-      // Every weight tile is decoded regardless of activation sparsity —
-      // once for the whole micro-batch — and rows with x[k] == 0 skip it.
-      ker.dequant_span(dense.weight.src, k * out + c0, width, tile);
-      for (Index r = 0; r < rows; ++r) {
-        const float xv = xs[r * in + k];
-        if (xv != 0.0f) {
-          ker.axpy(ys[r] + c0, xv, tile, width);
+      // Gather rows read their columns off the same decoded tile, with the
+      // exact rows' per-element rules (quantized skips x[k] == 0).
+      for (std::size_t g = 0; g < ngathers; ++g) {
+        const GatherRow& row = gathers[g];
+        const float xv = row.x[k];
+        if (f32 == nullptr && xv == 0.0f) {
+          continue;
+        }
+        for (std::size_t i = row.lo; i < row.hi; ++i) {
+          const float wv = w[row.cols[i] - c0];
+          row.acc[i] = fused ? std::fma(xv, wv, row.acc[i])
+                             : row.acc[i] + xv * wv;
         }
       }
     }
@@ -452,46 +487,22 @@ ExecutionContext::RawForward ExecutionContext::forward_scratch(
   return raw;
 }
 
-ExecutionContext::RawForward ExecutionContext::forward_pruned(
-    const std::int32_t* ids, Index length, Index nprobe, Index top_k,
-    std::vector<ScoredId>* ranked, std::uint64_t* scanned_rows,
-    std::uint64_t* scanned_bytes) {
+void ExecutionContext::probe_columns(const float* trunk, Index nprobe,
+                                     std::vector<Index>* cols,
+                                     std::uint64_t* scanned_rows,
+                                     std::uint64_t* scanned_bytes) {
   const CompiledModel& plan = *compiled_;
   const CatalogIndex& index = plan.catalog_index();
   const DensePlan& dense = plan.out();
   const Index in = dense.in;
   const Index out = dense.out;
 
-  RawForward raw;
-  const float* trunk = forward_trunk(ids, length, raw);
-  const auto out_start = Clock::now();
-
-  // Metering: the SAME full-range touches as the exact scan. out.weight is
-  // [in, items] row-major, so a probed COLUMN strides the whole blob one
-  // element per page-sized row region — page-granular residency is the
-  // full table either way. The pruning win lives in the analytic
-  // scanned_bytes counters and the measured scan time, not in pages.
-  touch(dense.weight, 0, in * out);
-  touch(dense.bias_ref, 0, out);
-
   // Probe query [trunk; 1.0] against centroids built over [W[:,j]; b_j].
-  const KernelSet& ker = plan.kernels();
   std::copy(trunk, trunk + in, query_.begin());
   query_[static_cast<std::size_t>(in)] = 1.0f;
-  const std::vector<ScoredId> probed = index.probe(ker, query_.data(), nprobe);
+  const std::vector<ScoredId> probed =
+      index.probe(plan.kernels(), query_.data(), nprobe);
 
-  // Unprobed logits stay 0 — pruned consumers read the ranked list.
-  std::fill(logits_.begin(), logits_.end(), 0.0f);
-
-  // Per-column replay of apply_dense for probed items only. Bit-exactness
-  // vs the exact path: axpy (scalar AND AVX2, the non-fused contract) does
-  // y[j] += x[k] * w[k,j] per element with no horizontal reduction, so
-  // accumulating column j in the same increasing-k order reproduces y[j]
-  // exactly; the f32 path MACs every k unconditionally while the quantized
-  // path skips x[k] == 0 rows — both mirrored below — and the bias lands
-  // last, matching acc_add. When the family's axpy is the opt-in FUSED MAC
-  // ("fma" in the kernel-set name) the replay fuses with std::fma too.
-  const bool fused = std::strstr(ker.name, "fma") != nullptr;
   const DType wt = dense.weight.dtype;
   const std::uint64_t elem_bytes = wt == DType::kF32 ? 4
                                    : wt == DType::kF16 ? 2
@@ -502,10 +513,7 @@ ExecutionContext::RawForward ExecutionContext::forward_pruned(
                                                             : 1;
   const Index group = dense.weight.src.group_size;
 
-  const Index kept = std::min(top_k, out);
-  std::vector<ScoredId> heap;
-  heap.reserve(static_cast<std::size_t>(kept));
-  std::uint64_t rows = 0;
+  cols->clear();
   std::uint64_t bytes = index.centroid_bytes();
   for (const ScoredId& cluster : probed) {
     const std::size_t begin =
@@ -514,34 +522,7 @@ ExecutionContext::RawForward ExecutionContext::forward_pruned(
         index.offsets[static_cast<std::size_t>(cluster.id) + 1];
     for (std::size_t pos = begin; pos < end; ++pos) {
       const Index j = static_cast<Index>(index.perm[pos]);
-      float acc = 0.0f;
-      if (dense.weight.f32 != nullptr) {
-        const float* w = dense.weight.f32;
-        if (fused) {
-          for (Index k = 0; k < in; ++k) {
-            acc = std::fma(trunk[k], w[k * out + j], acc);
-          }
-        } else {
-          for (Index k = 0; k < in; ++k) {
-            acc += trunk[k] * w[k * out + j];
-          }
-        }
-      } else {
-        for (Index k = 0; k < in; ++k) {
-          const float xv = trunk[k];
-          if (xv == 0.0f) {
-            continue;
-          }
-          float wv = 0.0f;
-          ker.dequant_span(dense.weight.src, k * out + j, 1, &wv);
-          acc = fused ? std::fma(xv, wv, acc) : acc + xv * wv;
-        }
-      }
-      acc += dense.bias[static_cast<std::size_t>(j)];
-      logits_[static_cast<std::size_t>(j)] = acc;
-      if (kept > 0) {
-        topk_offer(heap, kept, ScoredId{acc, j});
-      }
+      cols->push_back(j);
       // Analytic column bytes: one stored element per weight row, plus the
       // distinct i4g scale groups the strided walk crosses, plus the bias
       // element.
@@ -552,19 +533,33 @@ ExecutionContext::RawForward ExecutionContext::forward_pruned(
         bytes += static_cast<std::uint64_t>(std::min(in, span_groups)) * 4;
       }
     }
-    rows += static_cast<std::uint64_t>(end - begin);
+  }
+  // Ascending, so the sweep meets each column in its own tile.
+  std::sort(cols->begin(), cols->end());
+  *scanned_rows += static_cast<std::uint64_t>(cols->size());
+  *scanned_bytes += bytes;
+}
+
+void ExecutionContext::finish_pruned(const GatherRow& row, Index top_k,
+                                     float* logits_row,
+                                     std::vector<ScoredId>* ranked) {
+  const DensePlan& dense = compiled_->out();
+  // Unprobed logits stay 0 — pruned consumers read the ranked list.
+  std::fill(logits_row, logits_row + dense.out, 0.0f);
+  const Index kept = std::min(top_k, dense.out);
+  std::vector<ScoredId> heap;
+  heap.reserve(static_cast<std::size_t>(kept));
+  for (std::size_t i = 0; i < row.count; ++i) {
+    const Index j = row.cols[i];
+    // The bias lands last, as acc_add does for the exact rows.
+    const float score = row.acc[i] + dense.bias[static_cast<std::size_t>(j)];
+    logits_row[j] = score;
+    if (kept > 0) {
+      topk_offer(heap, kept, ScoredId{score, j});
+    }
   }
   std::sort(heap.begin(), heap.end(), topk_better);
   *ranked = std::move(heap);
-  *scanned_rows += rows;
-  *scanned_bytes += bytes;
-
-  op_count_ += 2;  // centroid probe + pruned gather-scan
-  activation_bytes_ += plan.output_dim() * 4 + plan.embed_dim() * 4;
-  meter_.note_activation_bytes(activation_bytes_);
-  raw.compute_ms += elapsed_ms(out_start);
-  raw.op_count = op_count_;
-  return raw;
 }
 
 InferenceView ExecutionContext::run_view(const std::int32_t* ids,
@@ -619,37 +614,65 @@ BatchResult ExecutionContext::run_batch(
   };
 
   // Phase 1: every row's trunk. Exact rows park theirs in the [rows, in]
-  // arena for the shared sweep; pruned rows finish here on their own.
+  // arena for the shared sweep; pruned rows park theirs in their own arena
+  // and probe the centroids for the catalog columns they will gather.
   trunks_.resize(static_cast<std::size_t>(result.batch * in));
+  pruned_trunks_.resize(static_cast<std::size_t>(result.batch * in));
+  if (pruned_cols_.size() < histories.size()) {
+    pruned_cols_.resize(histories.size());
+  }
   exact_logits_.clear();
+  pruned_rows_.clear();
   for (Index b = 0; b < result.batch; ++b) {
     const auto& history = histories[static_cast<std::size_t>(b)];
-    const Index length = static_cast<Index>(history.size());
-    float* logits_row = &result.logits.at2(b, 0);
-    if (is_pruned(b)) {
-      forward_pruned(history.data(), length,
-                     (*nprobes)[static_cast<std::size_t>(b)], top_k,
-                     &(*topk_out)[static_cast<std::size_t>(b)],
-                     &result.scanned_rows, &result.scanned_bytes);
-      std::memcpy(logits_row, logits_.data(),
-                  static_cast<std::size_t>(dim) * sizeof(float));
-      continue;
-    }
     RawForward raw;
-    const float* trunk = forward_trunk(history.data(), length, raw);
-    std::copy(trunk, trunk + in,
-              trunks_.begin() + static_cast<std::ptrdiff_t>(
-                                    exact_logits_.size() * in));
-    exact_logits_.push_back(logits_row);
+    const float* trunk =
+        forward_trunk(history.data(), static_cast<Index>(history.size()), raw);
+    if (is_pruned(b)) {
+      float* parked = pruned_trunks_.data() + pruned_rows_.size() * in;
+      std::copy(trunk, trunk + in, parked);
+      probe_columns(parked, (*nprobes)[static_cast<std::size_t>(b)],
+                    &pruned_cols_[pruned_rows_.size()], &result.scanned_rows,
+                    &result.scanned_bytes);
+      pruned_rows_.push_back(b);
+    } else {
+      std::copy(trunk, trunk + in,
+                trunks_.begin() + static_cast<std::ptrdiff_t>(
+                                      exact_logits_.size() * in));
+      exact_logits_.push_back(&result.logits.at2(b, 0));
+    }
     activation_bytes_ += dim * 4 + plan.embed_dim() * 4;
     meter_.note_activation_bytes(activation_bytes_);
   }
 
-  // Phase 2: one output sweep for all exact rows, straight into their
-  // logits rows, then each ranked row's top-k off its own row.
-  if (!exact_logits_.empty()) {
+  // Phase 2: one output sweep for the whole batch. Exact rows land straight
+  // in their logits rows; pruned rows gather only their probed columns off
+  // the same decoded tiles into per-column accumulators.
+  std::size_t gathered = 0;
+  for (std::size_t p = 0; p < pruned_rows_.size(); ++p) {
+    gathered += pruned_cols_[p].size();
+  }
+  gather_acc_.assign(gathered, 0.0f);
+  gathers_.clear();
+  gathered = 0;
+  for (std::size_t p = 0; p < pruned_rows_.size(); ++p) {
+    const std::vector<Index>& cols = pruned_cols_[p];
+    gathers_.push_back(GatherRow{pruned_trunks_.data() + p * in, cols.data(),
+                                 cols.size(), gather_acc_.data() + gathered,
+                                 0, 0});
+    gathered += cols.size();
+  }
+  if (!exact_logits_.empty() || !gathers_.empty()) {
     apply_dense_rows(plan.out(), static_cast<Index>(exact_logits_.size()),
-                     trunks_.data(), exact_logits_.data());
+                     trunks_.data(), exact_logits_.data(), gathers_.data(),
+                     gathers_.size());
+  }
+  // Phase 3: pruned rows add their bias and rank their probed columns,
+  // exact ranked rows take their top-k off their own logits row.
+  for (std::size_t p = 0; p < pruned_rows_.size(); ++p) {
+    const Index b = pruned_rows_[p];
+    finish_pruned(gathers_[p], top_k, &result.logits.at2(b, 0),
+                  &(*topk_out)[static_cast<std::size_t>(b)]);
   }
   // Exact ranked rows scan the whole stored catalog (weight + bias blobs).
   const std::uint64_t exact_scan_bytes = plan.out().weight.entry->byte_size +

@@ -97,11 +97,12 @@ class ExecutionContext {
   // ordering contract).
   //
   // Two phases. First every row runs its trunk; exact rows park the trunk
-  // vector in a [rows, in] arena. Then ONE output sweep scores all exact
-  // rows (ranked or plain) together, straight into their result.logits
-  // rows: each catalog weight tile is decoded once per micro-batch instead
-  // of once per row (see apply_dense_rows — per element the sum order is
-  // the single-row order, so every row stays bit-identical to run_view()).
+  // vector in a [rows, in] arena, pruned rows (below) probe their clusters.
+  // Then ONE output sweep scores the whole batch: exact rows (ranked or
+  // plain) land straight in their result.logits rows, and each catalog
+  // weight tile is decoded once per micro-batch instead of once per row
+  // (see apply_dense_rows — per element the sum order is the single-row
+  // order, so every row stays bit-identical to run_view()).
   // When `top_k` > 0, `topk_out` is resized to [batch] and row b receives
   // the best min(top_k, output_dim) ids of request b, selected off its
   // logits row. Ranking lives here so every serving path — worker
@@ -111,10 +112,10 @@ class ExecutionContext {
   // ranking into the CLUSTERED PRUNED scan when its value is > 0 AND the
   // bound plan carries an adopted catalog index: the trunk vector probes
   // the nprobe best centroids and only those clusters' catalog columns are
-  // scored — every score it does produce is bit-identical to the exact
-  // row's logit (see forward_pruned), so nprobe == clusters reproduces the
-  // exact ranking exactly. 0 (or a missing/defective index) is the exact
-  // full scan. Pruned rows fill result.logits with the probed entries only
+  // scored — gathered off the batch's shared sweep, each bit-identical to
+  // the exact row's logit — so nprobe == clusters reproduces the exact
+  // ranking exactly. 0 (or a missing/defective index) is the exact full
+  // scan. Pruned rows fill result.logits with the probed entries only
   // (unprobed positions are 0): consumers of pruned rankings read
   // topk_out, not dense logits.
   BatchResult run_batch(const std::vector<std::vector<std::int32_t>>& histories,
@@ -172,16 +173,27 @@ class ExecutionContext {
   // behind run_view(); run_batch() runs the same trunk and output sweep
   // for many rows at once.
   RawForward forward_scratch(const std::int32_t* ids, Index length);
-  // Pruned ranked forward: trunk → centroid probe → per-column replay of
-  // only the probed clusters' catalog columns, each bit-identical to the
-  // logit apply_dense would produce (same accumulation order, same
-  // FMA-ness as the bound kernel family's axpy). Ranked result into
-  // `ranked`; analytic scan counters accumulate into the two totals.
-  RawForward forward_pruned(const std::int32_t* ids, Index length,
-                            Index nprobe, Index top_k,
-                            std::vector<ScoredId>* ranked,
-                            std::uint64_t* scanned_rows,
-                            std::uint64_t* scanned_bytes);
+  // A pruned row's share of the output sweep: its trunk `x`, its probed
+  // catalog columns (ascending) and one accumulator per column. [lo, hi)
+  // is the sweep's cursor: the row's columns in the current tile.
+  struct GatherRow {
+    const float* x = nullptr;
+    const Index* cols = nullptr;
+    std::size_t count = 0;
+    float* acc = nullptr;
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+  };
+  // Pruned row, before the sweep: probes the centroids with [trunk; 1.0]
+  // and lists the probed clusters' columns, ascending, into `cols`; the
+  // analytic scan counters accumulate into the two totals.
+  void probe_columns(const float* trunk, Index nprobe, std::vector<Index>* cols,
+                     std::uint64_t* scanned_rows, std::uint64_t* scanned_bytes);
+  // Pruned row, after the sweep: adds the bias to each gathered column,
+  // writes them into `logits_row` (0 elsewhere) and ranks them into
+  // `ranked`.
+  void finish_pruned(const GatherRow& row, Index top_k, float* logits_row,
+                     std::vector<ScoredId>* ranked);
   // Pooled embedding into pooled_ (lookup path). Returns #real tokens.
   Index embed_pooled(const std::int32_t* ids, Index length);
   // Pooled embedding via the one-hot path (whole-table stream).
@@ -197,8 +209,16 @@ class ExecutionContext {
   // (quantized weights skip x[k] == 0, f32 weights MAC every k straight
   // from the mapping), then + b[j] — so a row's result does not depend on
   // `rows`, the tile width, or which other rows share the sweep.
+  //
+  // Gather rows ride the same sweep: for each of its columns in the tile a
+  // gather row adds x[k]*w[k,j] off the decoded segment under the same
+  // rules (a fused MAC when the family's axpy is fused), so each gathered
+  // sum equals the exact row's before its bias. The weight is then
+  // streamed in tile order once per batch, not walked one strided element
+  // per weight row per column.
   void apply_dense_rows(const DensePlan& dense, Index rows, const float* xs,
-                        float* const* ys);
+                        float* const* ys, GatherRow* gathers = nullptr,
+                        std::size_t ngathers = 0);
   void apply_dense(const DensePlan& dense, const float* x, float* y) {
     apply_dense_rows(dense, 1, x, &y);
   }
@@ -224,9 +244,16 @@ class ExecutionContext {
   std::vector<float> logits_;
   std::vector<float> tile_;     // one decoded weight-row tile, kDenseTile
   // run_batch arenas (capacity kept across calls): the exact rows' trunk
-  // vectors [rows, in] and their logits rows in the BatchResult.
+  // vectors [rows, in] and their logits rows in the BatchResult; the pruned
+  // rows' trunks, batch indices, probed columns, accumulators and gather
+  // views.
   std::vector<float> trunks_;
   std::vector<float*> exact_logits_;
+  std::vector<float> pruned_trunks_;
+  std::vector<Index> pruned_rows_;
+  std::vector<std::vector<Index>> pruned_cols_;
+  std::vector<float> gather_acc_;
+  std::vector<GatherRow> gathers_;
   std::vector<float> onehot_;   // weinberger bag-of-words, size m
   std::vector<float> query_;    // pruned probe query [trunk; 1.0], in+1
 };

@@ -543,5 +543,97 @@ TEST_F(EngineTest, BatchedOutputSweepMatchesPerRowUnderFusedAxpy) {
   }
 }
 
+// Pruned rows gather their probed columns off the batch's shared sweep. A
+// partial probe must give the same bits whatever shares the sweep: alone
+// (a gather-only sweep), next to exact rows, or next to other pruned rows.
+// Every probed logit equals the exact row's logit and the ranking is the
+// probed columns' own top-k — under scalar, dispatch, and (when present)
+// the fused family, whose gathers must fuse like its axpy.
+TEST_F(EngineTest, PrunedRowsGatherTheSameBitsInAnyBatch) {
+  constexpr Index kTopK = 10;
+  constexpr Index kProbe = 2;
+  Rng rng(1909);
+  for (const DType dtype : kSweepDtypes) {
+    const std::string tag = dtype_name(dtype);
+    const std::string path = temp_path("gather_" + tag);
+    write_sweep_model(path, 64, dtype, rng);
+    const auto mapped = std::make_shared<const MmapModel>(path);
+    for (const char* family : {"scalar", "dispatch", "fma"}) {
+      ScopedEnv simd("MEMCOM_DISABLE_SIMD",
+                     std::string(family) == "scalar" ? "1" : nullptr);
+      ScopedEnv fma("MEMCOM_ENABLE_FMA",
+                    std::string(family) == "fma" ? "1" : nullptr);
+      auto compiled = std::make_shared<const CompiledModel>(mapped);
+      if (std::string(family) == "fma" &&
+          std::string(compiled->kernels().name) != "avx2+fma") {
+        continue;  // no FMA hardware dispatched
+      }
+      ASSERT_TRUE(compiled->has_catalog_index());
+      ExecutionContext context(compiled, tflite_profile());
+      const Index out = compiled->output_dim();
+      const std::string where = tag + "/" + compiled->kernels().name;
+      // Rows 0, 3 and 5 are pruned; the rest rank exactly.
+      std::vector<std::vector<std::int32_t>> mixed;
+      std::vector<Index> nprobes;
+      for (std::int32_t id = 1; id <= 8; ++id) {
+        mixed.push_back({id});
+        nprobes.push_back(id == 1 || id == 4 || id == 6 ? kProbe : 0);
+      }
+      std::vector<std::vector<ScoredId>> mixed_top;
+      const BatchResult batch =
+          context.run_batch(mixed, kTopK, &mixed_top, &nprobes);
+      std::vector<std::vector<std::int32_t>> pruned_only;
+      for (Index b = 0; b < batch.batch; ++b) {
+        if (nprobes[static_cast<std::size_t>(b)] > 0) {
+          pruned_only.push_back(mixed[static_cast<std::size_t>(b)]);
+        }
+      }
+      std::vector<std::vector<ScoredId>> together_top;
+      const std::vector<Index> all_pruned(pruned_only.size(), kProbe);
+      const BatchResult together =
+          context.run_batch(pruned_only, kTopK, &together_top, &all_pruned);
+      std::size_t p = 0;
+      for (Index b = 0; b < batch.batch; ++b) {
+        const auto& history = mixed[static_cast<std::size_t>(b)];
+        if (nprobes[static_cast<std::size_t>(b)] == 0) {
+          continue;
+        }
+        const std::string row = where + " row " + std::to_string(b);
+        std::vector<std::vector<ScoredId>> alone_top;
+        const std::vector<Index> one{kProbe};
+        const BatchResult alone =
+            context.run_batch({history}, kTopK, &alone_top, &one);
+        const float* got = batch.logits.data() + b * out;
+        EXPECT_TRUE(same_bits(got, alone.logits.data(), out)) << row;
+        EXPECT_TRUE(same_bits(got, together.logits.data() + p * out, out))
+            << row;
+        const InferenceView view = context.run_view(history);
+        const std::vector<float> exact(view.logits, view.logits + out);
+        Index probed = 0;
+        for (Index j = 0; j < out; ++j) {
+          if (got[j] != 0.0f) {
+            ++probed;
+            EXPECT_TRUE(same_bits(&got[j], &exact[static_cast<std::size_t>(j)], 1))
+                << row << " col " << j;
+          }
+        }
+        EXPECT_GT(probed, 0) << row;
+        EXPECT_LT(probed, out) << row;
+        const auto& top = mixed_top[static_cast<std::size_t>(b)];
+        const std::vector<ScoredId> expect = topk_select(got, out, kTopK);
+        ASSERT_EQ(top.size(), expect.size()) << row;
+        for (std::size_t i = 0; i < top.size(); ++i) {
+          EXPECT_EQ(top[i].id, expect[i].id) << row << " pos " << i;
+          EXPECT_TRUE(same_bits(&top[i].score, &expect[i].score, 1))
+              << row << " pos " << i;
+          EXPECT_EQ(alone_top[0][i].id, top[i].id) << row << " pos " << i;
+          EXPECT_EQ(together_top[p][i].id, top[i].id) << row << " pos " << i;
+        }
+        ++p;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace memcom
