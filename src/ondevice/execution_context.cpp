@@ -343,7 +343,8 @@ void ExecutionContext::apply_batchnorm(const BatchNormPlan& bn, float* x) {
 
 void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
                                         const float* xs, float* const* ys,
-                                        GatherRow* gathers,
+                                        std::vector<ScoredId>* const* heaps,
+                                        Index top_k, GatherRow* gathers,
                                         std::size_t ngathers) {
   const Index in = dense.in;
   const Index out = dense.out;
@@ -356,7 +357,14 @@ void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
   // A gathered column mirrors the family's axpy: the fused MAC when the
   // family's axpy is the opt-in FMA ("fma" in the kernel-set name).
   const bool fused = ngathers > 0 && std::strstr(ker.name, "fma") != nullptr;
+  // A lone quantized row decodes each weight segment inside its MAC.
+  const bool one_row = rows == 1 && ngathers == 0 && f32 == nullptr;
   float* tile = tile_.data();
+  // Plain rows accumulate in place in their output rows; ranked rows in the
+  // row-tile arena, ranked before the next tile overwrites it.
+  if (ys == nullptr) {
+    row_tiles_.resize(static_cast<std::size_t>(rows * kDenseTile));
+  }
   for (std::size_t g = 0; g < ngathers; ++g) {
     gathers[g].lo = gathers[g].hi = 0;
   }
@@ -374,8 +382,11 @@ void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
     if (rows == 0 && !gathered) {
       continue;
     }
+    const auto acc = [&](Index r) {
+      return ys != nullptr ? ys[r] + c0 : row_tiles_.data() + r * kDenseTile;
+    };
     for (Index r = 0; r < rows; ++r) {
-      std::fill(ys[r] + c0, ys[r] + c0 + width, 0.0f);
+      std::fill(acc(r), acc(r) + width, 0.0f);
     }
     for (Index k = 0; k < in; ++k) {
       const float* w = tile;
@@ -385,8 +396,12 @@ void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
         // (zero rows contribute ±0 and leave y unchanged).
         w = f32 + k * out + c0;
         for (Index r = 0; r < rows; ++r) {
-          ker.axpy(ys[r] + c0, xs[r * in + k], w, width);
+          ker.axpy(acc(r), xs[r * in + k], w, width);
         }
+      } else if (one_row && xs[k] != 0.0f) {
+        // The same decode and the same MAC as the two-step path below, with
+        // no stop in tile_ (dequant_axpy's bit-identity contract).
+        ker.dequant_axpy(dense.weight.src, k * out + c0, width, xs[k], acc(0));
       } else {
         // Every weight tile is decoded regardless of activation sparsity —
         // once for the whole micro-batch — and rows with x[k] == 0 skip it.
@@ -394,7 +409,7 @@ void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
         for (Index r = 0; r < rows; ++r) {
           const float xv = xs[r * in + k];
           if (xv != 0.0f) {
-            ker.axpy(ys[r] + c0, xv, tile, width);
+            ker.axpy(acc(r), xv, tile, width);
           }
         }
       }
@@ -414,7 +429,10 @@ void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
       }
     }
     for (Index r = 0; r < rows; ++r) {
-      ker.acc_add(ys[r] + c0, dense.bias.data() + c0, width);
+      ker.acc_add(acc(r), dense.bias.data() + c0, width);
+      if (ys == nullptr) {
+        topk_offer_span(*heaps[r], top_k, acc(r), c0, width, ker);
+      }
     }
   }
   op_count_ += rows;
@@ -540,26 +558,15 @@ void ExecutionContext::probe_columns(const float* trunk, Index nprobe,
   *scanned_bytes += bytes;
 }
 
-void ExecutionContext::finish_pruned(const GatherRow& row, Index top_k,
-                                     float* logits_row,
+void ExecutionContext::finish_pruned(const GatherRow& row, Index kept,
                                      std::vector<ScoredId>* ranked) {
   const DensePlan& dense = compiled_->out();
-  // Unprobed logits stay 0 — pruned consumers read the ranked list.
-  std::fill(logits_row, logits_row + dense.out, 0.0f);
-  const Index kept = std::min(top_k, dense.out);
-  std::vector<ScoredId> heap;
-  heap.reserve(static_cast<std::size_t>(kept));
   for (std::size_t i = 0; i < row.count; ++i) {
     const Index j = row.cols[i];
     // The bias lands last, as acc_add does for the exact rows.
     const float score = row.acc[i] + dense.bias[static_cast<std::size_t>(j)];
-    logits_row[j] = score;
-    if (kept > 0) {
-      topk_offer(heap, kept, ScoredId{score, j});
-    }
+    topk_offer(*ranked, kept, ScoredId{score, j});
   }
-  std::sort(heap.begin(), heap.end(), topk_better);
-  *ranked = std::move(heap);
 }
 
 InferenceView ExecutionContext::run_view(const std::int32_t* ids,
@@ -599,10 +606,12 @@ BatchResult ExecutionContext::run_batch(
   const CompiledModel& plan = *compiled_;
   const Index dim = plan.output_dim();
   const Index in = plan.out().in;
-  result.logits = Tensor({result.batch, dim});
+  const Index kept = std::min(top_k, dim);
   if (top_k > 0) {
     check(topk_out != nullptr, "run_batch: top_k > 0 needs topk_out");
     topk_out->resize(static_cast<std::size_t>(result.batch));
+  } else {
+    result.logits = Tensor({result.batch, dim});
   }
   check(nprobes == nullptr ||
             static_cast<Index>(nprobes->size()) == result.batch,
@@ -615,19 +624,28 @@ BatchResult ExecutionContext::run_batch(
 
   // Phase 1: every row's trunk. Exact rows park theirs in the [rows, in]
   // arena for the shared sweep; pruned rows park theirs in their own arena
-  // and probe the centroids for the catalog columns they will gather.
+  // and probe the centroids for the catalog columns they will gather. A
+  // ranked row's heap is emptied here, keeping its capacity.
   trunks_.resize(static_cast<std::size_t>(result.batch * in));
   pruned_trunks_.resize(static_cast<std::size_t>(result.batch * in));
   if (pruned_cols_.size() < histories.size()) {
     pruned_cols_.resize(histories.size());
   }
   exact_logits_.clear();
+  exact_heaps_.clear();
   pruned_rows_.clear();
+  Index exact_rows = 0;
   for (Index b = 0; b < result.batch; ++b) {
     const auto& history = histories[static_cast<std::size_t>(b)];
     RawForward raw;
     const float* trunk =
         forward_trunk(history.data(), static_cast<Index>(history.size()), raw);
+    std::vector<ScoredId>* heap = nullptr;
+    if (top_k > 0) {
+      heap = &(*topk_out)[static_cast<std::size_t>(b)];
+      heap->clear();
+      heap->reserve(static_cast<std::size_t>(kept));
+    }
     if (is_pruned(b)) {
       float* parked = pruned_trunks_.data() + pruned_rows_.size() * in;
       std::copy(trunk, trunk + in, parked);
@@ -636,18 +654,22 @@ BatchResult ExecutionContext::run_batch(
                     &result.scanned_bytes);
       pruned_rows_.push_back(b);
     } else {
-      std::copy(trunk, trunk + in,
-                trunks_.begin() + static_cast<std::ptrdiff_t>(
-                                      exact_logits_.size() * in));
-      exact_logits_.push_back(&result.logits.at2(b, 0));
+      std::copy(trunk, trunk + in, trunks_.data() + exact_rows * in);
+      ++exact_rows;
+      if (heap != nullptr) {
+        exact_heaps_.push_back(heap);
+      } else {
+        exact_logits_.push_back(&result.logits.at2(b, 0));
+      }
     }
     activation_bytes_ += dim * 4 + plan.embed_dim() * 4;
     meter_.note_activation_bytes(activation_bytes_);
   }
 
-  // Phase 2: one output sweep for the whole batch. Exact rows land straight
-  // in their logits rows; pruned rows gather only their probed columns off
-  // the same decoded tiles into per-column accumulators.
+  // Phase 2: one output sweep for the whole batch. Exact rows land in their
+  // logits rows (plain call) or rank each finished tile into their heaps
+  // (ranked call); pruned rows gather only their probed columns off the
+  // same decoded tiles into per-column accumulators.
   std::size_t gathered = 0;
   for (std::size_t p = 0; p < pruned_rows_.size(); ++p) {
     gathered += pruned_cols_[p].size();
@@ -662,27 +684,27 @@ BatchResult ExecutionContext::run_batch(
                                  0, 0});
     gathered += cols.size();
   }
-  if (!exact_logits_.empty() || !gathers_.empty()) {
-    apply_dense_rows(plan.out(), static_cast<Index>(exact_logits_.size()),
-                     trunks_.data(), exact_logits_.data(), gathers_.data(),
+  if (exact_rows > 0 || !gathers_.empty()) {
+    apply_dense_rows(plan.out(), exact_rows, trunks_.data(),
+                     top_k > 0 ? nullptr : exact_logits_.data(),
+                     exact_heaps_.data(), kept, gathers_.data(),
                      gathers_.size());
   }
-  // Phase 3: pruned rows add their bias and rank their probed columns,
-  // exact ranked rows take their top-k off their own logits row.
+  // Phase 3: pruned rows add their bias and rank their probed columns; every
+  // ranked row sorts its heap best-first.
   for (std::size_t p = 0; p < pruned_rows_.size(); ++p) {
-    const Index b = pruned_rows_[p];
-    finish_pruned(gathers_[p], top_k, &result.logits.at2(b, 0),
-                  &(*topk_out)[static_cast<std::size_t>(b)]);
+    finish_pruned(gathers_[p], kept,
+                  &(*topk_out)[static_cast<std::size_t>(pruned_rows_[p])]);
   }
   // Exact ranked rows scan the whole stored catalog (weight + bias blobs).
   const std::uint64_t exact_scan_bytes = plan.out().weight.entry->byte_size +
                                          plan.out().bias_ref.entry->byte_size;
   for (Index b = 0; b < result.batch && top_k > 0; ++b) {
+    std::vector<ScoredId>& ranked = (*topk_out)[static_cast<std::size_t>(b)];
+    std::sort(ranked.begin(), ranked.end(), topk_better);
     ++result.ranked_rows;
     result.catalog_rows += static_cast<std::uint64_t>(dim);
     if (!is_pruned(b)) {
-      (*topk_out)[static_cast<std::size_t>(b)] =
-          topk_select(&result.logits.at2(b, 0), dim, top_k);
       result.scanned_rows += static_cast<std::uint64_t>(dim);
       result.scanned_bytes += exact_scan_bytes;
     }

@@ -49,7 +49,10 @@ struct InferenceView {
 // logits are bit-identical to a batch-1 run. Carries no modeled time — a
 // caller that wants latency measures the call's wall clock.
 struct BatchResult {
-  Tensor logits;  // [batch, output_dim]
+  // [batch, output_dim] for a plain call (top_k == 0). Empty for a ranked
+  // call: its rows rank tile by tile inside the output sweep, and the
+  // answer is `topk_out`.
+  Tensor logits;
   Index batch = 0;
   // Hot-row cache traffic of THIS batch (zero without an attached cache).
   std::uint64_t cache_hits = 0;
@@ -98,15 +101,19 @@ class ExecutionContext {
   //
   // Two phases. First every row runs its trunk; exact rows park the trunk
   // vector in a [rows, in] arena, pruned rows (below) probe their clusters.
-  // Then ONE output sweep scores the whole batch: exact rows (ranked or
-  // plain) land straight in their result.logits rows, and each catalog
-  // weight tile is decoded once per micro-batch instead of once per row
-  // (see apply_dense_rows — per element the sum order is the single-row
-  // order, so every row stays bit-identical to run_view()).
-  // When `top_k` > 0, `topk_out` is resized to [batch] and row b receives
-  // the best min(top_k, output_dim) ids of request b, selected off its
-  // logits row. Ranking lives here so every serving path — worker
-  // micro-batches, bench — breaks ties identically.
+  // Then ONE output sweep scores the whole batch, decoding each catalog
+  // weight tile once per micro-batch instead of once per row (see
+  // apply_dense_rows — per element the sum order is the single-row order,
+  // so every score stays bit-identical to run_view()).
+  // With `top_k` == 0 exact rows land in their result.logits rows. With
+  // `top_k` > 0 the call is RANKED: `topk_out` is resized to [batch], and
+  // row b receives the best min(top_k, output_dim) ids of request b, each
+  // with its logit's exact bits. An exact ranked row ranks each finished
+  // L1 tile of logits into its heap, so no full-width logits row is
+  // written or re-read and result.logits stays empty. The heaps are
+  // `topk_out`'s own rows: a caller that reuses `topk_out` makes the exact
+  // ranked call allocation-free once warm. Ranking lives here so every
+  // serving path — worker micro-batches, bench — breaks ties identically.
   //
   // `nprobes` (optional, per row, parallel to `histories`) turns a row's
   // ranking into the CLUSTERED PRUNED scan when its value is > 0 AND the
@@ -115,9 +122,9 @@ class ExecutionContext {
   // scored — gathered off the batch's shared sweep, each bit-identical to
   // the exact row's logit — so nprobe == clusters reproduces the exact
   // ranking exactly. 0 (or a missing/defective index) is the exact full
-  // scan. Pruned rows fill result.logits with the probed entries only
-  // (unprobed positions are 0): consumers of pruned rankings read
-  // topk_out, not dense logits.
+  // scan. A pruned row's answer is its ranked list only, like an exact
+  // ranked row's. (Its probe still allocates: CatalogIndex::probe returns a
+  // vector.)
   BatchResult run_batch(const std::vector<std::vector<std::int32_t>>& histories,
                         Index top_k,
                         std::vector<std::vector<ScoredId>>* topk_out,
@@ -189,10 +196,9 @@ class ExecutionContext {
   // analytic scan counters accumulate into the two totals.
   void probe_columns(const float* trunk, Index nprobe, std::vector<Index>* cols,
                      std::uint64_t* scanned_rows, std::uint64_t* scanned_bytes);
-  // Pruned row, after the sweep: adds the bias to each gathered column,
-  // writes them into `logits_row` (0 elsewhere) and ranks them into
-  // `ranked`.
-  void finish_pruned(const GatherRow& row, Index top_k, float* logits_row,
+  // Pruned row, after the sweep: adds the bias to each gathered column and
+  // offers it to the (emptied) heap `ranked` of at most `kept` entries.
+  void finish_pruned(const GatherRow& row, Index kept,
                      std::vector<ScoredId>* ranked);
   // Pooled embedding into pooled_ (lookup path). Returns #real tokens.
   Index embed_pooled(const std::int32_t* ids, Index length);
@@ -208,7 +214,16 @@ class ExecutionContext {
   // exactly the single-row order — zero, then x[k]*w[k,j] in increasing k
   // (quantized weights skip x[k] == 0, f32 weights MAC every k straight
   // from the mapping), then + b[j] — so a row's result does not depend on
-  // `rows`, the tile width, or which other rows share the sweep.
+  // `rows`, the tile width, or which other rows share the sweep. A lone
+  // quantized row (rows == 1, no gathers) with x[k] != 0 skips tile_: the
+  // family's dequant_axpy does the same decode and the same MAC in one
+  // pass; with x[k] == 0 the segment is still decoded.
+  //
+  // With `ys` null the rows are RANKED: row r accumulates in the row-tile
+  // arena, and each finished tile (bias added) is offered to *heaps[r] at
+  // `top_k` (> 0) with ids c0.. — topk_offer_span's filter skips every
+  // score below the heap's worst. The heap's content does not depend on
+  // offer order, so it equals topk_select over the full logits row.
   //
   // Gather rows ride the same sweep: for each of its columns in the tile a
   // gather row adds x[k]*w[k,j] off the decoded segment under the same
@@ -217,7 +232,9 @@ class ExecutionContext {
   // streamed in tile order once per batch, not walked one strided element
   // per weight row per column.
   void apply_dense_rows(const DensePlan& dense, Index rows, const float* xs,
-                        float* const* ys, GatherRow* gathers = nullptr,
+                        float* const* ys,
+                        std::vector<ScoredId>* const* heaps = nullptr,
+                        Index top_k = 0, GatherRow* gathers = nullptr,
                         std::size_t ngathers = 0);
   void apply_dense(const DensePlan& dense, const float* x, float* y) {
     apply_dense_rows(dense, 1, x, &y);
@@ -244,11 +261,14 @@ class ExecutionContext {
   std::vector<float> logits_;
   std::vector<float> tile_;     // one decoded weight-row tile, kDenseTile
   // run_batch arenas (capacity kept across calls): the exact rows' trunk
-  // vectors [rows, in] and their logits rows in the BatchResult; the pruned
-  // rows' trunks, batch indices, probed columns, accumulators and gather
-  // views.
+  // vectors [rows, in], their logits rows in the BatchResult (plain call)
+  // or their heaps in topk_out plus one [rows, kDenseTile] accumulator tile
+  // (ranked call); the pruned rows' trunks, batch indices, probed columns,
+  // accumulators and gather views.
   std::vector<float> trunks_;
   std::vector<float*> exact_logits_;
+  std::vector<std::vector<ScoredId>*> exact_heaps_;
+  std::vector<float> row_tiles_;
   std::vector<float> pruned_trunks_;
   std::vector<Index> pruned_rows_;
   std::vector<std::vector<Index>> pruned_cols_;

@@ -303,7 +303,10 @@ bool AsyncServer::form_batch(std::size_t s, Clock::time_point deadline,
   const std::size_t popped = shard.queue.pop_run_until(
       batch.requests, static_cast<std::size_t>(config_.max_batch), deadline,
       [](const QueuedRequest& first, const QueuedRequest& r) {
-        return r.model_id == first.model_id;  // batches hold one model
+        // A batch holds one model, and is all ranked or all plain: a ranked
+        // call keeps no logits rows, a plain one ranks nothing.
+        return r.model_id == first.model_id &&
+               (r.top_k > 0) == (first.top_k > 0);
       },
       [&shard](QueuedRequest& r) {
         // Under the queue lock, in admission order: with several workers
@@ -373,6 +376,8 @@ void AsyncServer::execute_batch(std::size_t worker, WorkerState& state) {
   // re-targets a lane to a freshly swapped version (cache rebuilt cold).
   auto& contexts = state.contexts;
   auto& histories = state.histories;
+  auto& ranked = state.ranked;
+  auto& nprobes = state.nprobes;
   Batch& task = state.batch;
   const std::string& model_id = task.requests.front().model_id;
   {
@@ -410,16 +415,15 @@ void AsyncServer::execute_batch(std::size_t worker, WorkerState& state) {
       top_k = std::max(top_k, r.top_k);
       any_pruned = any_pruned || (r.nprobe > 0 && r.top_k > 0);
     }
-    // A micro-batch may mix plain and session requests (same model id):
-    // rank every row at the largest k and truncate per request below (safe
-    // on the pruned path too — nprobe is per ROW, so ranking row b at a
-    // larger k scans the same probed clusters and yields a superset).
-    std::vector<std::vector<ScoredId>> ranked;
-    std::vector<Index> nprobes;
+    // A ranked micro-batch may mix k values: rank every row at the largest
+    // k and truncate per request below (safe on the pruned path too —
+    // nprobe is per ROW, so ranking row b at a larger k scans the same
+    // probed clusters and yields a superset). `ranked` and `nprobes` are
+    // the worker's, so their capacity carries over between batches.
+    nprobes.clear();
     if (any_pruned) {
-      nprobes.reserve(task.requests.size());
       for (const QueuedRequest& r : task.requests) {
-        nprobes.push_back(r.top_k > 0 ? r.nprobe : 0);
+        nprobes.push_back(r.nprobe);
       }
     }
     BatchResult batch =
@@ -513,8 +517,9 @@ void AsyncServer::execute_batch(std::size_t worker, WorkerState& state) {
       result.deadline_missed = r.deadline_tp != Clock::time_point::max() &&
                                service_end > r.deadline_tp;
       if (!r.is_session) {
-        // Session answers are their top-k; only plain requests pay for a
-        // copy of the full logits row.
+        // Session answers are their top-k; only plain requests — always in
+        // a plain batch, which keeps its logits — pay for a copy of the
+        // full logits row.
         const float* row = &batch.logits.at2(static_cast<Index>(i), 0);
         result.logits.assign(row, row + dim);
       }

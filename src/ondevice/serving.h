@@ -12,12 +12,13 @@
 // shard), and the `threads` workers take micro-batches straight off those
 // queues — there is no other thread. An idle worker pops the FIFO run of
 // same-model requests at the head of its primary shard's queue (at most
-// `max_batch`); when that queue is empty it takes a run from another shard
-// (a steal, so a skewed model mix cannot strand capacity on an idle shard),
-// and when every queue is empty it parks on its primary, re-scanning the
-// other shards every millisecond. No request is held back to grow a batch:
-// batches grow only while every worker is busy. max_batch = 1 is the
-// closed-loop batch-1 drain.
+// `max_batch`; a run is all ranked session requests or all unranked ones,
+// since a ranked batch keeps no logits rows); when that queue is empty it
+// takes a run from another shard (a steal, so a skewed model mix cannot
+// strand capacity on an idle shard), and when every queue is empty it
+// parks on its primary, re-scanning the other shards every millisecond. No
+// request is held back to grow a batch: batches grow only while every
+// worker is busy. max_batch = 1 is the closed-loop batch-1 drain.
 //
 // Deadline awareness runs end to end: every request carries a deadline
 // (default `deadline_us` after enqueue; 0 = none), and completions past it
@@ -283,8 +284,9 @@ class AsyncServer {
   // runs `model_id` on the post-append history, and resolves the future
   // with the top-`k` item ids/scores over its logits — the full-catalog
   // scan, executed against the model's compressed output table by the
-  // normal dense path. The logits row itself is not copied out
-  // (AsyncResult::logits stays empty).
+  // normal dense path. With k > 0 the request batches only with other
+  // ranked requests, whose rows rank tile by tile inside the sweep, so no
+  // logits row exists to copy out (AsyncResult::logits stays empty).
   //
   // Routing is SESSION-affine, not model-affine: hash(session_id) picks
   // the shard, so one session's updates all land in one queue in
@@ -476,10 +478,14 @@ class AsyncServer {
     std::unordered_map<std::string, std::unique_ptr<ExecutionContext>>
         contexts;
     std::vector<std::vector<std::int32_t>> histories;
+    std::vector<std::vector<ScoredId>> ranked;  // run_batch's top-k rows
+    std::vector<Index> nprobes;                 // per-row probe counts
   };
   // Pops a micro-batch from shard `s` into state.batch (waiting until
   // `deadline` for a first request) and pins its model version; false when
-  // nothing was popped.
+  // nothing was popped. The batch is the head's FIFO run of requests for
+  // the same model that are all ranked (top_k > 0) or all plain, so
+  // admission order and session appends are untouched.
   bool form_batch(std::size_t s, SteadyClock::time_point deadline,
                   WorkerState& state);
   void execute_batch(std::size_t worker, WorkerState& state);

@@ -6,17 +6,31 @@
 
 namespace memcom {
 
+void topk_offer_span(std::vector<ScoredId>& heap, Index k, const float* scores,
+                     Index first_id, Index n, const KernelSet& kernels) {
+  if (k <= 0) {
+    return;
+  }
+  Index i = 0;
+  for (; i < n && static_cast<Index>(heap.size()) < k; ++i) {
+    topk_offer(heap, k, ScoredId{scores[i], first_id + i});
+  }
+  while (i < n) {
+    i += kernels.first_ge(scores + i, n - i, heap.front().score);
+    if (i == n) {
+      break;
+    }
+    topk_offer(heap, k, ScoredId{scores[i], first_id + i});
+    ++i;
+  }
+}
+
 std::vector<ScoredId> topk_select(const float* scores, Index n, Index k) {
   check(k >= 0, "topk_select: negative k");
   const Index kept = std::min(k, n);
   std::vector<ScoredId> heap;
   heap.reserve(static_cast<std::size_t>(kept));
-  if (kept == 0) {
-    return heap;
-  }
-  for (Index i = 0; i < n; ++i) {
-    topk_offer(heap, kept, ScoredId{scores[i], i});
-  }
+  topk_offer_span(heap, kept, scores, 0, n, select_kernels());
   std::sort(heap.begin(), heap.end(), topk_better);
   return heap;
 }

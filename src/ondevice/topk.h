@@ -57,8 +57,21 @@ inline void topk_offer(std::vector<ScoredId>& heap, Index k, ScoredId cand) {
   }
 }
 
-// Bounded-heap selection: O(n log k), no allocation beyond the k-element
-// result. Returns min(k, n) entries sorted best-first.
+// Offers scores[0..n) as ids first_id, first_id + 1, ... to a heap of at
+// most k entries (k <= 0 offers nothing). The heap fills exactly as
+// topk_offer fills it; after that only scores >= the heap's worst score are
+// offered, found 8 at a time by `kernels.first_ge`. A lower score loses to
+// the worst entry under topk_better whatever its id, so skipping it changes
+// nothing: the heap ends as if every score had gone through topk_offer.
+// Pieces of one row may therefore be offered in any order and any size.
+// Allocates only while the heap grows toward k.
+void topk_offer_span(std::vector<ScoredId>& heap, Index k, const float* scores,
+                     Index first_id, Index n, const KernelSet& kernels);
+
+// Bounded-heap selection: topk_offer_span over the whole row (dispatched
+// kernels), then a best-first sort. O(n) compares plus O(log k) per score
+// that enters the heap; no allocation beyond the k-element result. Returns
+// min(k, n) entries sorted best-first.
 std::vector<ScoredId> topk_select(const float* scores, Index n, Index k);
 
 // Full-sort reference (O(n log n)); topk_select must match it exactly.

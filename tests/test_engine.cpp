@@ -336,6 +336,20 @@ bool same_bits(const float* a, const float* b, Index n) {
   return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
 }
 
+// Same ids in the same order, and the same score bits.
+bool same_ranking(const std::vector<ScoredId>& a,
+                  const std::vector<ScoredId>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id || !same_bits(&a[i].score, &b[i].score, 1)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // A ranking model whose trunk the test can compute exactly: a one-item
 // history pools to that item's embedding row, and bn1 folds to scale +1 on
 // even features and -1 on odd ones, with shift -0 on both. So the trunk is
@@ -456,10 +470,17 @@ TEST_F(EngineTest, BatchedOutputSweepMatchesOracleBitForBit) {
       }
       ASSERT_TRUE(pos_zero && neg_zero) << tag << ": trunk lacks ±0 entries";
       const auto mapped = std::make_shared<const MmapModel>(path);
-      for (const bool scalar : {true, false}) {
-        ScopedEnv simd("MEMCOM_DISABLE_SIMD", scalar ? "1" : nullptr);
-        ScopedEnv fma("MEMCOM_ENABLE_FMA", nullptr);
+      for (const char* family : {"scalar", "dispatch", "fma"}) {
+        ScopedEnv simd("MEMCOM_DISABLE_SIMD",
+                       std::string(family) == "scalar" ? "1" : nullptr);
+        ScopedEnv fma("MEMCOM_ENABLE_FMA",
+                      std::string(family) == "fma" ? "1" : nullptr);
         auto compiled = std::make_shared<const CompiledModel>(mapped);
+        const bool fused =
+            std::string(compiled->kernels().name) == "avx2+fma";
+        if (std::string(family) == "fma" && !fused) {
+          continue;  // no FMA hardware dispatched
+        }
         ASSERT_TRUE(compiled->has_catalog_index())
             << compiled->index_fallback_reason();
         ExecutionContext context(compiled, tflite_profile());
@@ -473,33 +494,38 @@ TEST_F(EngineTest, BatchedOutputSweepMatchesOracleBitForBit) {
             // exactly); every other row rides the shared sweep.
             nprobes.push_back(b == 1 ? kSweepClusters : 0);
           }
-          std::vector<std::vector<ScoredId>> topk;
+          // Ranked at k = out, a row's list carries every logit: the exact
+          // rows rank them tile by tile, the full-probe row gathers them.
+          std::vector<std::vector<ScoredId>> full;
           const BatchResult ranked =
-              context.run_batch(histories, kTopK, &topk, &nprobes);
+              context.run_batch(histories, m.out, &full, &nprobes);
+          EXPECT_EQ(ranked.logits.numel(), 0) << where;
+          // At kTopK the heap's filter skips most scores.
+          std::vector<std::vector<ScoredId>> topk;
+          context.run_batch(histories, kTopK, &topk, &nprobes);
           const BatchResult plain = context.run_batch(histories);
           for (Index b = 0; b < batch; ++b) {
-            const std::vector<float>& want =
-                oracle[static_cast<std::size_t>(histories[b][0])];
             const std::string row =
                 where + " B=" + std::to_string(batch) + " row " +
                 std::to_string(b);
-            EXPECT_TRUE(same_bits(plain.logits.data() + b * m.out, want.data(), m.out))
-                << row;
-            EXPECT_TRUE(
-                same_bits(ranked.logits.data() + b * m.out, want.data(), m.out))
-                << row;
             const InferenceView view =
                 context.run_view(histories[static_cast<std::size_t>(b)]);
+            // The fused family rounds each MAC once, so it answers to its
+            // own run_view; the others answer to the mul-then-add oracle.
+            const std::vector<float> want =
+                fused ? std::vector<float>(view.logits, view.logits + m.out)
+                      : oracle[static_cast<std::size_t>(histories[b][0])];
             EXPECT_TRUE(same_bits(view.logits, want.data(), m.out)) << row;
+            EXPECT_TRUE(same_bits(plain.logits.data() + b * m.out, want.data(), m.out))
+                << row;
             const std::vector<ScoredId> expect =
-                topk_select(want.data(), m.out, kTopK);
-            const auto& got = topk[static_cast<std::size_t>(b)];
-            ASSERT_EQ(got.size(), expect.size()) << row;
-            for (std::size_t i = 0; i < expect.size(); ++i) {
-              EXPECT_EQ(got[i].id, expect[i].id) << row << " pos " << i;
-              EXPECT_TRUE(same_bits(&got[i].score, &expect[i].score, 1))
-                  << row << " pos " << i;
-            }
+                topk_full_sort(want.data(), m.out, m.out);
+            EXPECT_TRUE(same_ranking(full[static_cast<std::size_t>(b)], expect))
+                << row;
+            const std::vector<ScoredId> prefix(expect.begin(),
+                                               expect.begin() + kTopK);
+            EXPECT_TRUE(same_ranking(topk[static_cast<std::size_t>(b)], prefix))
+                << row;
           }
         }
       }
@@ -556,7 +582,7 @@ TEST_F(EngineTest, PrunedRowsGatherTheSameBitsInAnyBatch) {
   for (const DType dtype : kSweepDtypes) {
     const std::string tag = dtype_name(dtype);
     const std::string path = temp_path("gather_" + tag);
-    write_sweep_model(path, 64, dtype, rng);
+    const SweepModel m = write_sweep_model(path, 64, dtype, rng);
     const auto mapped = std::make_shared<const MmapModel>(path);
     for (const char* family : {"scalar", "dispatch", "fma"}) {
       ScopedEnv simd("MEMCOM_DISABLE_SIMD",
@@ -579,56 +605,57 @@ TEST_F(EngineTest, PrunedRowsGatherTheSameBitsInAnyBatch) {
         mixed.push_back({id});
         nprobes.push_back(id == 1 || id == 4 || id == 6 ? kProbe : 0);
       }
+      // Ranked at k = out, a pruned row's list carries exactly its probed
+      // columns; at kTopK it keeps that list's prefix.
+      std::vector<std::vector<ScoredId>> mixed_all;
+      context.run_batch(mixed, out, &mixed_all, &nprobes);
       std::vector<std::vector<ScoredId>> mixed_top;
-      const BatchResult batch =
-          context.run_batch(mixed, kTopK, &mixed_top, &nprobes);
+      context.run_batch(mixed, kTopK, &mixed_top, &nprobes);
       std::vector<std::vector<std::int32_t>> pruned_only;
-      for (Index b = 0; b < batch.batch; ++b) {
-        if (nprobes[static_cast<std::size_t>(b)] > 0) {
-          pruned_only.push_back(mixed[static_cast<std::size_t>(b)]);
+      for (std::size_t b = 0; b < mixed.size(); ++b) {
+        if (nprobes[b] > 0) {
+          pruned_only.push_back(mixed[b]);
         }
       }
-      std::vector<std::vector<ScoredId>> together_top;
+      std::vector<std::vector<ScoredId>> together_all;
       const std::vector<Index> all_pruned(pruned_only.size(), kProbe);
-      const BatchResult together =
-          context.run_batch(pruned_only, kTopK, &together_top, &all_pruned);
+      context.run_batch(pruned_only, out, &together_all, &all_pruned);
       std::size_t p = 0;
-      for (Index b = 0; b < batch.batch; ++b) {
-        const auto& history = mixed[static_cast<std::size_t>(b)];
-        if (nprobes[static_cast<std::size_t>(b)] == 0) {
+      for (std::size_t b = 0; b < mixed.size(); ++b) {
+        const auto& history = mixed[b];
+        if (nprobes[b] == 0) {
           continue;
         }
         const std::string row = where + " row " + std::to_string(b);
-        std::vector<std::vector<ScoredId>> alone_top;
+        std::vector<std::vector<ScoredId>> alone_all;
         const std::vector<Index> one{kProbe};
-        const BatchResult alone =
-            context.run_batch({history}, kTopK, &alone_top, &one);
-        const float* got = batch.logits.data() + b * out;
-        EXPECT_TRUE(same_bits(got, alone.logits.data(), out)) << row;
-        EXPECT_TRUE(same_bits(got, together.logits.data() + p * out, out))
-            << row;
+        context.run_batch({history}, out, &alone_all, &one);
+        const std::vector<ScoredId>& got = mixed_all[b];
+        EXPECT_TRUE(same_ranking(got, alone_all[0])) << row;
+        EXPECT_TRUE(same_ranking(got, together_all[p])) << row;
+        EXPECT_GT(got.size(), 0u) << row;
+        EXPECT_LT(got.size(), static_cast<std::size_t>(out)) << row;
+        EXPECT_TRUE(std::is_sorted(got.begin(), got.end(), topk_better)) << row;
+        // Each probed column carries the exact row's logit bits: run_view's
+        // under every family, and the oracle's unless the MAC is fused.
         const InferenceView view = context.run_view(history);
-        const std::vector<float> exact(view.logits, view.logits + out);
-        Index probed = 0;
-        for (Index j = 0; j < out; ++j) {
-          if (got[j] != 0.0f) {
-            ++probed;
-            EXPECT_TRUE(same_bits(&got[j], &exact[static_cast<std::size_t>(j)], 1))
-                << row << " col " << j;
+        const bool fused =
+            std::string(compiled->kernels().name) == "avx2+fma";
+        const std::vector<float> oracle = sweep_oracle(
+            m, sweep_trunk(m, history[0]), dtype != DType::kF32);
+        for (const ScoredId& s : got) {
+          EXPECT_TRUE(same_bits(&s.score, view.logits + s.id, 1))
+              << row << " col " << s.id;
+          if (!fused) {
+            EXPECT_TRUE(same_bits(
+                &s.score, &oracle[static_cast<std::size_t>(s.id)], 1))
+                << row << " col " << s.id;
           }
         }
-        EXPECT_GT(probed, 0) << row;
-        EXPECT_LT(probed, out) << row;
-        const auto& top = mixed_top[static_cast<std::size_t>(b)];
-        const std::vector<ScoredId> expect = topk_select(got, out, kTopK);
-        ASSERT_EQ(top.size(), expect.size()) << row;
-        for (std::size_t i = 0; i < top.size(); ++i) {
-          EXPECT_EQ(top[i].id, expect[i].id) << row << " pos " << i;
-          EXPECT_TRUE(same_bits(&top[i].score, &expect[i].score, 1))
-              << row << " pos " << i;
-          EXPECT_EQ(alone_top[0][i].id, top[i].id) << row << " pos " << i;
-          EXPECT_EQ(together_top[p][i].id, top[i].id) << row << " pos " << i;
-        }
+        const std::size_t kept =
+            std::min(got.size(), static_cast<std::size_t>(kTopK));
+        const std::vector<ScoredId> prefix(got.begin(), got.begin() + kept);
+        EXPECT_TRUE(same_ranking(mixed_top[b], prefix)) << row;
         ++p;
       }
     }

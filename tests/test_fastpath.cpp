@@ -1,7 +1,8 @@
 // Enforcement tests for the zero-allocation inference fast path:
 //   * steady-state run() performs NO string-keyed tensor lookups (the
 //     execution plan resolves every handle at construction);
-//   * steady-state run_view() performs NO heap allocations (scratch arena);
+//   * steady-state run_view() performs NO heap allocations (scratch arena),
+//     and neither does a ranked exact run_batch() into a reused topk_out;
 //   * run_batch() is bit-identical to sequential run() for every technique;
 //   * the memory meter's resident-byte accounting is unchanged by the fast
 //     path (batched and sequential runs meter the same pages).
@@ -162,6 +163,52 @@ TEST_F(FastPathTest, SteadyStateRunViewIsAllocationFree) {
     g_count_allocs.store(false, std::memory_order_relaxed);
     EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
         << technique_name(kind);
+  }
+}
+
+// The session path's ranked call: exact rows rank tile by tile into the
+// caller's reused topk_out rows, so once warm it allocates nothing — at B=1
+// (dequant_axpy sweep) and B=8 (shared decoded tiles), over a ragged last
+// tile.
+TEST_F(FastPathTest, SteadyStateRankedRunBatchIsAllocationFree) {
+  ModelConfig config =
+      small_config(TechniqueKind::kMemcom, ModelArch::kRanking);
+  config.output_vocab = 2 * ExecutionContext::kDenseTile + 13;
+  RecModel model(config);
+  const std::string path = temp_path("ranked_allocs");
+  model.export_mcm(path, DType::kI4G, "ranked", 1, 32);
+  auto compiled = std::make_shared<const CompiledModel>(
+      std::make_shared<const MmapModel>(path));
+  ExecutionContext context(compiled, tflite_profile());
+  const auto pool = sample_histories();
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
+    std::vector<std::vector<std::int32_t>> histories;
+    for (std::size_t b = 0; b < batch; ++b) {
+      histories.push_back(pool[b % pool.size()]);
+    }
+    std::vector<std::vector<ScoredId>> topk;
+    for (int i = 0; i < 2; ++i) {
+      context.run_batch(histories, 10, &topk);
+    }
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    for (int i = 0; i < 3; ++i) {
+      context.run_batch(histories, 10, &topk);
+    }
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
+        << "B=" << batch;
+    // The reused rows hold this call's ranking, not a blend with the last.
+    std::vector<std::vector<ScoredId>> fresh;
+    context.run_batch(histories, 10, &fresh);
+    ASSERT_EQ(topk.size(), batch);
+    for (std::size_t b = 0; b < batch; ++b) {
+      ASSERT_EQ(topk[b].size(), 10u) << "B=" << batch << " row " << b;
+      for (std::size_t i = 0; i < topk[b].size(); ++i) {
+        EXPECT_EQ(topk[b][i].id, fresh[b][i].id) << "B=" << batch;
+        EXPECT_EQ(topk[b][i].score, fresh[b][i].score) << "B=" << batch;
+      }
+    }
   }
 }
 

@@ -29,8 +29,13 @@ struct ToolResult {
 
 ToolResult run_tool(const std::string& args) {
   // Quote the binary path; build trees may live under paths with spaces.
-  const std::string cmd =
-      "\"" + std::string(MCM_INSPECT_PATH) + "\" " + args + " 2>&1";
+  // Appended piecewise: GCC 12 warns -Wrestrict on the chained operator+
+  // form of this expression.
+  std::string cmd = "\"";
+  cmd += MCM_INSPECT_PATH;
+  cmd += "\" ";
+  cmd += args;
+  cmd += " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   ToolResult result;
   if (pipe == nullptr) {

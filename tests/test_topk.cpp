@@ -4,6 +4,9 @@
 //   * topk_select (bounded heap) is element-for-element identical to the
 //     full-sort reference for every k, including adversarial all-equal and
 //     signed-zero score vectors;
+//   * topk_offer_span's threshold filter changes nothing: offered whole or
+//     in 1024-wide pieces (with first_id, in either order), under either
+//     kernel family, it keeps exactly the full sort's top-k;
 //   * CatalogScorer produces the same ids/scores whether the catalog scan
 //     runs through the scalar or the dispatched kernel family, for every
 //     catalog dtype.
@@ -13,6 +16,7 @@
 
 #include "test_util.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -136,6 +140,75 @@ TEST(TopkSelect, SmallerKIsPrefixOfLargerK) {
     ASSERT_EQ(small.size(), static_cast<std::size_t>(k));
     for (std::size_t i = 0; i < small.size(); ++i) {
       EXPECT_EQ(small[i].id, big[i].id) << "k=" << k << " i=" << i;
+    }
+  }
+}
+
+// --- the filtered offer ----------------------------------------------------
+
+// Rows the threshold filter must get exactly right: random, all equal,
+// ±0.0 only, and coarse quantized values full of exact ties.
+std::vector<std::vector<float>> filter_rows(Index n, Rng& rng) {
+  std::vector<std::vector<float>> rows(4);
+  for (Index i = 0; i < n; ++i) {
+    rows[0].push_back(rng.uniform(-3.0f, 3.0f));
+    rows[1].push_back(0.5f);
+    rows[2].push_back(rng.uniform(-1.0f, 1.0f) < 0.0f ? -0.0f : 0.0f);
+    rows[3].push_back(std::round(rng.uniform(-4.0f, 4.0f)) * 0.25f);
+  }
+  return rows;
+}
+
+// topk_offer_span in `piece`-wide pieces (last piece first when
+// `reversed`), then the best-first sort topk_select ends with.
+std::vector<ScoredId> offer_in_pieces(const std::vector<float>& row, Index k,
+                                      Index piece, bool reversed,
+                                      const KernelSet& kernels) {
+  const Index n = static_cast<Index>(row.size());
+  std::vector<Index> starts;
+  for (Index start = 0; start < n; start += piece) {
+    starts.push_back(start);
+  }
+  if (reversed) {
+    std::reverse(starts.begin(), starts.end());
+  }
+  std::vector<ScoredId> heap;
+  for (const Index start : starts) {
+    topk_offer_span(heap, k, row.data() + start, start,
+                    std::min(piece, n - start), kernels);
+  }
+  std::sort(heap.begin(), heap.end(), topk_better);
+  return heap;
+}
+
+TEST(TopkOfferSpan, FilteredOfferMatchesFullSortInAnyPieces) {
+  ScopedEnv disable("MEMCOM_DISABLE_SIMD", nullptr);
+  const KernelSet* families[] = {&scalar_kernels(), &select_kernels()};
+  Rng rng(703);
+  for (const Index n : {Index{0}, Index{1}, Index{7}, Index{8}, Index{9},
+                        Index{2061}}) {
+    const std::vector<std::vector<float>> rows = filter_rows(n, rng);
+    const char* kinds[] = {"random", "all-equal", "signed-zero", "ties"};
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const std::vector<float>& row = rows[r];
+      for (const Index k : {Index{0}, Index{1}, Index{10}, n, n + 3}) {
+        const std::string tag = std::string(kinds[r]) +
+                                " n=" + std::to_string(n) +
+                                " k=" + std::to_string(k);
+        const std::vector<ScoredId> want = topk_full_sort(row.data(), n, k);
+        expect_same_ranking(topk_select(row.data(), n, k), want,
+                            (tag + " select").c_str());
+        for (const KernelSet* kernels : families) {
+          const std::string fam = tag + " " + kernels->name;
+          const std::vector<ScoredId> whole =
+              offer_in_pieces(row, k, std::max<Index>(n, 1), false, *kernels);
+          expect_same_ranking(whole, want, (fam + " whole").c_str());
+          expect_same_ranking(offer_in_pieces(row, k, 1024, false, *kernels),
+                              whole, (fam + " pieces").c_str());
+          expect_same_ranking(offer_in_pieces(row, k, 1024, true, *kernels),
+                              whole, (fam + " reversed pieces").c_str());
+        }
+      }
     }
   }
 }

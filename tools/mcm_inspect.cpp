@@ -50,7 +50,8 @@ int main(int argc, char** argv) try {
     // size changes the payload layout, so it belongs in the dtype column.
     std::string dtype = dtype_name(entry.dtype);
     if (dtype_is_grouped(entry.dtype)) {
-      dtype += "/" + std::to_string(entry.group_size);
+      dtype += '/';
+      dtype += std::to_string(entry.group_size);
     }
     table.add_row({name, dtype,
                    shape_to_string(entry.shape),
