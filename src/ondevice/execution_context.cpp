@@ -357,8 +357,6 @@ void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
   // A gathered column mirrors the family's axpy: the fused MAC when the
   // family's axpy is the opt-in FMA ("fma" in the kernel-set name).
   const bool fused = ngathers > 0 && std::strstr(ker.name, "fma") != nullptr;
-  // A lone quantized row decodes each weight segment inside its MAC.
-  const bool one_row = rows == 1 && ngathers == 0 && f32 == nullptr;
   float* tile = tile_.data();
   // Plain rows accumulate in place in their output rows; ranked rows in the
   // row-tile arena, ranked before the next tile overwrites it.
@@ -398,10 +396,6 @@ void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
         for (Index r = 0; r < rows; ++r) {
           ker.axpy(acc(r), xs[r * in + k], w, width);
         }
-      } else if (one_row && xs[k] != 0.0f) {
-        // The same decode and the same MAC as the two-step path below, with
-        // no stop in tile_ (dequant_axpy's bit-identity contract).
-        ker.dequant_axpy(dense.weight.src, k * out + c0, width, xs[k], acc(0));
       } else {
         // Every weight tile is decoded regardless of activation sparsity —
         // once for the whole micro-batch — and rows with x[k] == 0 skip it.
@@ -609,7 +603,11 @@ BatchResult ExecutionContext::run_batch(
   const Index kept = std::min(top_k, dim);
   if (top_k > 0) {
     check(topk_out != nullptr, "run_batch: top_k > 0 needs topk_out");
-    topk_out->resize(static_cast<std::size_t>(result.batch));
+    // Grow only: a shrink would free the trailing rows' heaps, and a reused
+    // topk_out would reallocate them when a larger batch follows.
+    if (topk_out->size() < histories.size()) {
+      topk_out->resize(histories.size());
+    }
   } else {
     result.logits = Tensor({result.batch, dim});
   }

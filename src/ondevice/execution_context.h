@@ -106,8 +106,9 @@ class ExecutionContext {
   // apply_dense_rows — per element the sum order is the single-row order,
   // so every score stays bit-identical to run_view()).
   // With `top_k` == 0 exact rows land in their result.logits rows. With
-  // `top_k` > 0 the call is RANKED: `topk_out` is resized to [batch], and
-  // row b receives the best min(top_k, output_dim) ids of request b, each
+  // `top_k` > 0 the call is RANKED: `topk_out` grows to at least [batch]
+  // (never shrinks; rows past the batch are left as they were), and row
+  // b < batch receives the best min(top_k, output_dim) ids of request b, each
   // with its logit's exact bits. An exact ranked row ranks each finished
   // L1 tile of logits into its heap, so no full-width logits row is
   // written or re-read and result.logits stays empty. The heaps are
@@ -214,10 +215,7 @@ class ExecutionContext {
   // exactly the single-row order — zero, then x[k]*w[k,j] in increasing k
   // (quantized weights skip x[k] == 0, f32 weights MAC every k straight
   // from the mapping), then + b[j] — so a row's result does not depend on
-  // `rows`, the tile width, or which other rows share the sweep. A lone
-  // quantized row (rows == 1, no gathers) with x[k] != 0 skips tile_: the
-  // family's dequant_axpy does the same decode and the same MAC in one
-  // pass; with x[k] == 0 the segment is still decoded.
+  // `rows`, the tile width, or which other rows share the sweep.
   //
   // With `ys` null the rows are RANKED: row r accumulates in the row-tile
   // arena, and each finished tile (bias added) is offered to *heaps[r] at

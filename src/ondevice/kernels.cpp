@@ -39,20 +39,6 @@ inline float reduce8(const float lane[8]) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7]));
 }
 
-// dequant_axpy as decode-then-MAC through a stack chunk: the scalar
-// reference, and each family's body for the dtypes it does not fuse. Both
-// steps are element-wise, so the chunking cannot change a bit.
-template <auto Dequant, auto Axpy>
-void chunked_dequant_axpy(const SpanSrc& src, Index offset, Index count,
-                          float a, float* y) {
-  float buf[kDotChunk];
-  for (Index done = 0; done < count; done += kDotChunk) {
-    const Index chunk = std::min<Index>(kDotChunk, count - done);
-    Dequant(src, offset + done, chunk, buf);
-    Axpy(y + done, a, buf, chunk);
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -128,11 +114,6 @@ float dot_span(const SpanSrc& src, Index offset, Index count,
   return reduce8(lane);
 }
 
-void dequant_axpy(const SpanSrc& src, Index offset, Index count, float a,
-                  float* y) {
-  chunked_dequant_axpy<dequant_span, axpy>(src, offset, count, a, y);
-}
-
 Index first_ge(const float* s, Index n, float t) {
   for (Index i = 0; i < n; ++i) {
     if (s[i] >= t) {
@@ -150,7 +131,7 @@ const KernelSet kScalar = {
     "scalar",           scalar::dequant_span,       scalar::acc_add,
     scalar::acc_scale_add, scalar::acc_scale_bias_add, scalar::acc_mult_add,
     scalar::axpy,       scalar::dot,                scalar::dot_span,
-    scalar::dequant_axpy, scalar::first_ge,
+    scalar::first_ge,
 };
 
 }  // namespace
@@ -434,92 +415,6 @@ __attribute__((target("avx2,f16c"))) float dot_span(const SpanSrc& src,
   return reduce8(lane);
 }
 
-using AxpyFn = void (*)(float*, float, const float*, Index);
-
-// An edge of the vector i4g walk — the peel up to the first 8-aligned
-// element, or the ragged tail; fewer than 8 elements either way — decoded
-// by the reference codec (as dequant_span's edges are) and accumulated by
-// the family's own axpy.
-void i4g_edge_axpy(const SpanSrc& src, Index offset, Index count, float a,
-                   float* y, AxpyFn axpy) {
-  float buf[8];
-  dequantize_span_i4g(src.group_scales, src.packed, src.group_size, offset,
-                      count, buf);
-  axpy(y, a, buf, count);
-}
-
-// dequant_axpy: i4g spans are decoded 8 elements at a time in registers and
-// MAC'd without a store. The walk is dequant_span_impl's — a scalar peel to
-// the first 8-aligned element, whole blocks one scale group at a time, a
-// scalar tail — and each block's MAC is axpy's mul-then-add, so the result
-// equals dequant_span_impl + axpy bit for bit. Other dtypes decode in
-// chunks.
-__attribute__((target("avx2,f16c"))) void dequant_axpy(const SpanSrc& src,
-                                                       Index offset,
-                                                       Index count, float a,
-                                                       float* y) {
-  if (src.dtype != DType::kI4G) {
-    chunked_dequant_axpy<dequant_span_impl, axpy>(src, offset, count, a, y);
-    return;
-  }
-  const Index g = src.group_size;
-  Index i = std::min<Index>((8 - (offset & 7)) & 7, count);
-  if (i > 0) {
-    i4g_edge_axpy(src, offset, i, a, y, axpy);
-  }
-  const __m256 va = _mm256_set1_ps(a);
-  Index group = (offset + i) / g;
-  Index group_end = (group + 1) * g - offset;  // span index, 8-aligned
-  while (i + 8 <= count) {
-    const __m256 vscale = _mm256_set1_ps(src.group_scales[group]);
-    const Index stop = std::min(group_end, count);
-    for (; i + 8 <= stop; i += 8) {
-      const __m256 vx = dequant8_i4(src.packed + (offset + i) / 2, vscale);
-      const __m256 vy = _mm256_loadu_ps(y + i);
-      _mm256_storeu_ps(y + i, _mm256_add_ps(vy, _mm256_mul_ps(va, vx)));
-    }
-    ++group;
-    group_end += g;
-  }
-  if (i < count) {
-    i4g_edge_axpy(src, offset + i, count - i, a, y + i, axpy);
-  }
-}
-
-// The same walk with axpy_fma's fused MAC, for the avx2+fma family. A
-// separate body, because a target attribute is per function: sharing one
-// would compile the plain avx2 family's body for FMA hardware too.
-__attribute__((target("avx2,fma,f16c"))) void dequant_axpy_fma(
-    const SpanSrc& src, Index offset, Index count, float a, float* y) {
-  if (src.dtype != DType::kI4G) {
-    chunked_dequant_axpy<dequant_span_impl, axpy_fma>(src, offset, count, a,
-                                                      y);
-    return;
-  }
-  const Index g = src.group_size;
-  Index i = std::min<Index>((8 - (offset & 7)) & 7, count);
-  if (i > 0) {
-    i4g_edge_axpy(src, offset, i, a, y, axpy_fma);
-  }
-  const __m256 va = _mm256_set1_ps(a);
-  Index group = (offset + i) / g;
-  Index group_end = (group + 1) * g - offset;
-  while (i + 8 <= count) {
-    const __m256 vscale = _mm256_set1_ps(src.group_scales[group]);
-    const Index stop = std::min(group_end, count);
-    for (; i + 8 <= stop; i += 8) {
-      const __m256 vx = dequant8_i4(src.packed + (offset + i) / 2, vscale);
-      const __m256 vy = _mm256_loadu_ps(y + i);
-      _mm256_storeu_ps(y + i, _mm256_fmadd_ps(va, vx, vy));
-    }
-    ++group;
-    group_end += g;
-  }
-  if (i < count) {
-    i4g_edge_axpy(src, offset + i, count - i, a, y + i, axpy_fma);
-  }
-}
-
 // 8 scores per compare: _CMP_GE_OQ is float >= (false on NaN, true for
 // -0.0 >= +0.0), and the movemask's lowest set bit is the first hit.
 __attribute__((target("avx2"))) Index first_ge(const float* s, Index n,
@@ -549,7 +444,7 @@ const KernelSet kAvx2 = {
     "avx2",             avx2::dequant_span_impl,  avx2::acc_add,
     avx2::acc_scale_add, avx2::acc_scale_bias_add, avx2::acc_mult_add,
     avx2::axpy,         avx2::dot,                avx2::dot_span,
-    avx2::dequant_axpy, avx2::first_ge,
+    avx2::first_ge,
 };
 
 // Same set with the FUSED dense MAC swapped in (documented tolerance).
@@ -557,7 +452,7 @@ const KernelSet kAvx2Fma = {
     "avx2+fma",         avx2::dequant_span_impl,  avx2::acc_add,
     avx2::acc_scale_add, avx2::acc_scale_bias_add, avx2::acc_mult_add,
     avx2::axpy_fma,     avx2::dot,                avx2::dot_span,
-    avx2::dequant_axpy_fma, avx2::first_ge,
+    avx2::first_ge,
 };
 
 }  // namespace
@@ -577,7 +472,7 @@ const KernelSet kNeonStub = {
     "neon-stub",        scalar::dequant_span,       scalar::acc_add,
     scalar::acc_scale_add, scalar::acc_scale_bias_add, scalar::acc_mult_add,
     scalar::axpy,       scalar::dot,                scalar::dot_span,
-    scalar::dequant_axpy, scalar::first_ge,
+    scalar::first_ge,
 };
 
 }  // namespace

@@ -14,11 +14,10 @@
 //     time, and never contract mul+add into an FMA (nor may the compiler:
 //     every module builds with -ffp-contract=off, see src/CMakeLists.txt,
 //     which keeps FMA-baseline builds such as -march=x86-64-v3 from fusing
-//     the scalar reference). The only kernels allowed to diverge are the
-//     fused dense MACs — `axpy_fma` and its decoding twin in `dequant_axpy`
-//     — which are opt-in via MEMCOM_ENABLE_FMA=1 and carry a documented
-//     tolerance instead of the bit-exactness contract (fused rounding
-//     differs from mul-then-add).
+//     the scalar reference). The only kernel allowed
+//     to diverge is `axpy_fma` (the fused dense MAC), which is opt-in via
+//     MEMCOM_ENABLE_FMA=1 and carries a documented tolerance instead of the
+//     bit-exactness contract (fused rounding differs from mul-then-add).
 //   * neon   — aarch64 placeholder registered behind the same dispatch
 //     table; its entries currently forward to the scalar reference so the
 //     selection machinery is exercised on ARM builds before tuned NEON
@@ -88,14 +87,6 @@ struct KernelSet {
   // every dtype (f32/f16/i8/i4/i4g).
   float (*dot_span)(const SpanSrc& src, Index offset, Index count,
                     const float* vec) = nullptr;
-  // y[i] += a * dequant(src[offset+i]) for i in [0, count) — one row of the
-  // dense MAC straight off the packed weight, with no decoded tile stored
-  // and read back. Bit-identical to the SAME family's dequant_span followed
-  // by its own axpy (fused MAC included for avx2+fma): each element is
-  // decoded by the same codec and accumulated by the same per-element
-  // expression, so the chunking and the lane of an element cannot matter.
-  void (*dequant_axpy)(const SpanSrc& src, Index offset, Index count, float a,
-                       float* y) = nullptr;
   // Index of the first s[i] >= t in [0, n), or n when there is none — the
   // top-k threshold filter (ondevice/topk.h). A plain ordered compare
   // (-0.0 >= +0.0 holds, as float >= says), so every family returns the
@@ -108,10 +99,9 @@ const KernelSet& scalar_kernels();
 
 // Runtime dispatch: scalar when MEMCOM_DISABLE_SIMD=1, else the widest
 // family the CPU reports. With MEMCOM_ENABLE_FMA=1 (and FMA hardware) the
-// returned set's axpy and dequant_axpy are the FUSED dense MAC — faster,
-// but only tolerance-accurate vs scalar; everything else stays bit-exact.
-// Environment is read per call so a test (or the CI matrix) can flip it
-// between plan compiles.
+// returned set's axpy is the FUSED dense MAC — faster, but only tolerance-
+// accurate vs scalar; everything else stays bit-exact. Environment is read
+// per call so a test (or the CI matrix) can flip it between plan compiles.
 const KernelSet& select_kernels();
 
 // Byte interval of a packed element span, sub-byte aware: covers bits

@@ -419,7 +419,8 @@ void AsyncServer::execute_batch(std::size_t worker, WorkerState& state) {
     // k and truncate per request below (safe on the pruned path too —
     // nprobe is per ROW, so ranking row b at a larger k scans the same
     // probed clusters and yields a superset). `ranked` and `nprobes` are
-    // the worker's, so their capacity carries over between batches.
+    // the worker's, so their capacity carries over between batches of any
+    // size (run_batch grows `ranked` but never shrinks it).
     nprobes.clear();
     if (any_pruned) {
       for (const QueuedRequest& r : task.requests) {

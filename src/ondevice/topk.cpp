@@ -30,7 +30,10 @@ std::vector<ScoredId> topk_select(const float* scores, Index n, Index k) {
   const Index kept = std::min(k, n);
   std::vector<ScoredId> heap;
   heap.reserve(static_cast<std::size_t>(kept));
-  topk_offer_span(heap, kept, scores, 0, n, select_kernels());
+  // Every family's first_ge returns the same index, so the family is
+  // picked once per process rather than per call.
+  static const KernelSet& kernels = select_kernels();
+  topk_offer_span(heap, kept, scores, 0, n, kernels);
   std::sort(heap.begin(), heap.end(), topk_better);
   return heap;
 }

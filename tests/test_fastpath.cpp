@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "ondevice/engine.h"
@@ -168,8 +169,8 @@ TEST_F(FastPathTest, SteadyStateRunViewIsAllocationFree) {
 
 // The session path's ranked call: exact rows rank tile by tile into the
 // caller's reused topk_out rows, so once warm it allocates nothing — at B=1
-// (dequant_axpy sweep) and B=8 (shared decoded tiles), over a ragged last
-// tile.
+// and B=8, over a ragged last tile, and when the two sizes alternate on one reused topk_out (as paced
+// B=1 batches and saturated B=8 batches do on a serving worker).
 TEST_F(FastPathTest, SteadyStateRankedRunBatchIsAllocationFree) {
   ModelConfig config =
       small_config(TechniqueKind::kMemcom, ModelArch::kRanking);
@@ -181,32 +182,47 @@ TEST_F(FastPathTest, SteadyStateRankedRunBatchIsAllocationFree) {
       std::make_shared<const MmapModel>(path));
   ExecutionContext context(compiled, tflite_profile());
   const auto pool = sample_histories();
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
+  const auto histories_of = [&](std::size_t batch) {
     std::vector<std::vector<std::int32_t>> histories;
     for (std::size_t b = 0; b < batch; ++b) {
       histories.push_back(pool[b % pool.size()]);
     }
+    return histories;
+  };
+  const auto one = histories_of(1);
+  const auto eight = histories_of(8);
+  using Sequence = std::vector<const std::vector<std::vector<std::int32_t>>*>;
+  const std::pair<const char*, Sequence> cases[] = {
+      {"B=1", {&one, &one, &one}},
+      {"B=8", {&eight, &eight, &eight}},
+      {"B=8,1,8", {&eight, &one, &eight, &one}},
+  };
+  for (const auto& [label, sequence] : cases) {
     std::vector<std::vector<ScoredId>> topk;
-    for (int i = 0; i < 2; ++i) {
-      context.run_batch(histories, 10, &topk);
+    for (const auto* histories : sequence) {
+      context.run_batch(*histories, 10, &topk);
     }
-    g_alloc_count.store(0, std::memory_order_relaxed);
-    g_count_allocs.store(true, std::memory_order_relaxed);
-    for (int i = 0; i < 3; ++i) {
-      context.run_batch(histories, 10, &topk);
-    }
-    g_count_allocs.store(false, std::memory_order_relaxed);
-    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
-        << "B=" << batch;
-    // The reused rows hold this call's ranking, not a blend with the last.
-    std::vector<std::vector<ScoredId>> fresh;
-    context.run_batch(histories, 10, &fresh);
-    ASSERT_EQ(topk.size(), batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      ASSERT_EQ(topk[b].size(), 10u) << "B=" << batch << " row " << b;
-      for (std::size_t i = 0; i < topk[b].size(); ++i) {
-        EXPECT_EQ(topk[b][i].id, fresh[b][i].id) << "B=" << batch;
-        EXPECT_EQ(topk[b][i].score, fresh[b][i].score) << "B=" << batch;
+    for (const auto* histories : sequence) {
+      g_alloc_count.store(0, std::memory_order_relaxed);
+      g_count_allocs.store(true, std::memory_order_relaxed);
+      context.run_batch(*histories, 10, &topk);
+      g_count_allocs.store(false, std::memory_order_relaxed);
+      const std::size_t batch = histories->size();
+      EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
+          << label << " at B=" << batch;
+      // The reused rows hold this call's ranking, not a blend with an
+      // earlier call's.
+      std::vector<std::vector<ScoredId>> fresh;
+      context.run_batch(*histories, 10, &fresh);
+      ASSERT_EQ(fresh.size(), batch);
+      ASSERT_GE(topk.size(), batch);
+      for (std::size_t b = 0; b < batch; ++b) {
+        ASSERT_EQ(topk[b].size(), 10u) << label << " row " << b;
+        for (std::size_t i = 0; i < topk[b].size(); ++i) {
+          EXPECT_EQ(topk[b][i].id, fresh[b][i].id) << label << " row " << b;
+          EXPECT_EQ(topk[b][i].score, fresh[b][i].score)
+              << label << " row " << b;
+        }
       }
     }
   }

@@ -2,11 +2,9 @@
 //   * packed_byte_span rounds sub-byte bit intervals OUT to whole bytes
 //     (the touch() undercount regression);
 //   * select_kernels honors MEMCOM_DISABLE_SIMD / MEMCOM_ENABLE_FMA;
-//   * every dispatched kernel except the opt-in fused axpy (and its
-//     dequant_axpy twin) is BIT-identical to the scalar reference (compared
-//     with memcmp, not float ==, so -0.0 vs +0.0 and NaN payload
-//     differences cannot hide), and each family's dequant_axpy equals its
-//     own dequant_span followed by its own axpy;
+//   * every dispatched kernel except the opt-in fused axpy is BIT-identical
+//     to the scalar reference (compared with memcmp, not float ==, so
+//     -0.0 vs +0.0 and NaN payload differences cannot hide);
 //   * the fused axpy stays within the documented one-rounding tolerance.
 #include "ondevice/kernels.h"
 
@@ -119,7 +117,6 @@ TEST(KernelDispatch, ScalarSetIsComplete) {
   EXPECT_NE(k.axpy, nullptr);
   EXPECT_NE(k.dot, nullptr);
   EXPECT_NE(k.dot_span, nullptr);
-  EXPECT_NE(k.dequant_axpy, nullptr);
   EXPECT_NE(k.first_ge, nullptr);
 }
 
@@ -227,76 +224,6 @@ TEST(KernelBitIdentity, DequantSpanMatchesScalarForEveryDtypeAndOffset) {
         EXPECT_TRUE(bits_equal(a.data(), b.data(), a.size()))
             << dtype_name(c.dtype) << "/" << c.group_size
             << " offset=" << offset << " count=" << count;
-      }
-    }
-  }
-}
-
-// --- dequant_axpy: one pass, the bits of dequant_span + axpy ---------------
-
-TEST(KernelBitIdentity, DequantAxpyMatchesDequantSpanPlusAxpy) {
-  ScopedEnv disable("MEMCOM_DISABLE_SIMD", nullptr);
-  const KernelSet& ref = scalar_kernels();
-  std::vector<const KernelSet*> families{&ref};
-  {
-    ScopedEnv fma("MEMCOM_ENABLE_FMA", nullptr);
-    families.push_back(&select_kernels());
-  }
-  {
-    ScopedEnv fma("MEMCOM_ENABLE_FMA", "1");
-    if (std::string(select_kernels().name) == "avx2+fma") {
-      families.push_back(&select_kernels());
-    }
-  }
-  Rng rng(605);
-  // The dequant_span test's spans: offsets step by 3 (mid-byte, mid-group,
-  // off the 8-lane grid), 3g+5 counts cross three group seams and end
-  // ragged, and the n - offset counts run past the 256-float decode chunk.
-  const Tensor t = Tensor::randn({1003}, rng, 0.3f);
-  struct Case {
-    DType dtype;
-    Index group_size;
-  };
-  for (const Case c : {Case{DType::kF32, 0}, Case{DType::kF16, 0},
-                       Case{DType::kI8, 0}, Case{DType::kI4, 0},
-                       Case{DType::kI4G, 8}, Case{DType::kI4G, 32},
-                       Case{DType::kI4G, 64}, Case{DType::kI4G, 256}}) {
-    const QuantizedTensor q = quantize(t, c.dtype, c.group_size);
-    const SpanSrc src = make_src(q);
-    const Index n = q.numel();
-    const Index seams = 3 * std::max<Index>(c.group_size, 8) + 5;
-    for (Index offset = 0; offset < n; offset += 3) {
-      for (const Index count : {Index{1}, Index{7}, Index{8}, Index{17},
-                                seams, n - offset}) {
-        if (count <= 0 || offset + count > n) {
-          continue;
-        }
-        const std::vector<float> base = random_vec(count, rng);
-        std::vector<float> tile(static_cast<std::size_t>(count));
-        for (const float a : {0.75f, -1.5f, -0.0f}) {
-          const std::string where =
-              std::string(dtype_name(c.dtype)) + "/" +
-              std::to_string(c.group_size) + " offset=" +
-              std::to_string(offset) + " count=" + std::to_string(count) +
-              " a=" + std::to_string(a);
-          std::vector<float> scalar_y = base;
-          ref.dequant_axpy(src, offset, count, a, scalar_y.data());
-          for (const KernelSet* f : families) {
-            std::vector<float> fused_y = base;
-            std::vector<float> two_step = base;
-            f->dequant_axpy(src, offset, count, a, fused_y.data());
-            f->dequant_span(src, offset, count, tile.data());
-            f->axpy(two_step.data(), a, tile.data(), count);
-            EXPECT_TRUE(bits_equal(fused_y.data(), two_step.data(),
-                                   fused_y.size()))
-                << f->name << " " << where;
-            if (std::string(f->name) != "avx2+fma") {
-              EXPECT_TRUE(bits_equal(fused_y.data(), scalar_y.data(),
-                                     fused_y.size()))
-                  << f->name << " vs scalar " << where;
-            }
-          }
-        }
       }
     }
   }
