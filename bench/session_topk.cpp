@@ -1,43 +1,48 @@
 // Session top-k catalog-scan benchmark: the full-catalog scoring step of
-// session-based next-item serving, isolated from the serving pipeline.
+// session-based next-item serving, measured through the call a serving
+// worker makes.
 //
-// An item-major [items, dim] catalog is exported at each precision rung
-// (f32 / f16 / i8 / i4 / i4g) and scanned IN COMPRESSED FORM by
-// CatalogScorer through the dispatched dot_span kernel. Per rung the bench
-// records, against the f32 full-sort reference:
-//   * recall@k        — fraction of the reference top-k ids the compressed
-//                       scan recovers (ranking loss from quantization; the
-//                       scan itself is deterministic);
-//   * scan latency    — per-query wall time of score-all + bounded-heap
-//                       top-k (p50/p95/mean over the query set);
-//   * catalog bytes   — the compressed payload the scan touches per query
-//                       (the "catalog residency" compression target).
+// An item catalog [items, dim] is exported at each precision rung
+// (f32 / f16 / i8 / i4 / i4g) as a small ranking .mcm: out.weight is the
+// catalog transposed to [dim, items] at the rung's dtype, out.bias is zero
+// (same dtype), emb.table holds one row per query, and the file carries a
+// catalog index. Each query is a one-id history ranked by
+// ExecutionContext::run_batch, so it passes through the trunk and the
+// shared output sweep. Per rung the bench records:
+//   * recall@k        — fraction of the f32 file's exact top-k ids the
+//                       rung's exact ranking recovers (ranking loss from
+//                       quantization; the sweep itself is deterministic);
+//   * scan latency    — wall time of one whole run_batch call
+//                       (p50/p95/mean over the query set);
+//   * catalog bytes   — BatchResult::scanned_bytes of an exact row: the
+//                       stored out.weight + out.bias blobs.
 //
-// A second phase sweeps the clustered PRUNED scan per rung: a deterministic
-// k-means index over the rung's compressed catalog, probed at increasing
-// nprobe, recording recall@k against the SAME rung's exact scan plus the
-// compressed bytes actually touched — the recall-vs-bytes-scanned frontier
-// that picks an operating point (nprobe == clusters reproduces the exact
-// scan bit-for-bit, so the frontier always ends at recall 1.0).
+// A second phase sweeps nprobe on the same file: a pruned row probes the
+// index's centroids and gathers only the probed clusters' columns off the
+// sweep. It records recall@k against the SAME rung's exact ranking plus the
+// scanned bytes — the recall-vs-bytes frontier that picks an operating
+// point. nprobe == clusters must reproduce the rung's exact ranking, ids
+// and score bits; the bench exits 1 when it does not, so the frontier's end
+// at recall 1.0 is checked, not just printed.
 //
 //   ./bench_session_topk                 # default scale
 //   ./bench_session_topk --smoke         # tiny catalog, few queries
 //   ./bench_session_topk --items 100000 --dim 64 --queries 256 --topk 20
-//   ./bench_session_topk --clusters 256  # pruned-phase cell count
-#include <algorithm>
+//   ./bench_session_topk --clusters 256  # index cell count
 #include <chrono>
+#include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "core/flags.h"
 #include "core/rng.h"
 #include "core/table.h"
-#include "ondevice/catalog_index.h"
 #include "ondevice/engine.h"
-#include "ondevice/kernels.h"
-#include "ondevice/quantize.h"
-#include "ondevice/topk.h"
+#include "ondevice/format.h"
 
 using namespace memcom;
 
@@ -47,13 +52,13 @@ struct RungResult {
   std::string dtype;
   double recall_at_k = 0;
   LatencyStats scan;
-  std::size_t resident_bytes = 0;
+  std::uint64_t resident_bytes = 0;
   double bytes_ratio_vs_f32 = 0;
 };
 
 // One point on the pruned frontier: a (dtype, nprobe) operating point with
-// its recall against the same rung's exact scan and the fraction of the
-// compressed catalog it actually read.
+// its recall against the same rung's exact ranking and the fraction of the
+// stored catalog it read.
 struct PrunedResult {
   std::string dtype;
   Index clusters = 0;
@@ -62,6 +67,13 @@ struct PrunedResult {
   LatencyStats scan;
   double mean_scanned_bytes = 0;
   double bytes_fraction = 0;
+};
+
+// Every query ranked at one nprobe (0 = the exact sweep).
+struct Ranking {
+  std::vector<std::vector<ScoredId>> topk;
+  LatencyStats scan;
+  double mean_scanned_bytes = 0;
 };
 
 double intersection_recall(const std::vector<ScoredId>& got,
@@ -79,6 +91,86 @@ double intersection_recall(const std::vector<ScoredId>& got,
     }
   }
   return static_cast<double>(hits) / static_cast<double>(want.size());
+}
+
+bool same_ranking(const std::vector<ScoredId>& a,
+                  const std::vector<ScoredId>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id ||
+        std::memcmp(&a[i].score, &b[i].score, sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A ranking .mcm whose trunk hands query q (history {q + 1}; id 0 is the
+// pad id) to the output sweep as ~query[q]: its emb.table row is
+// query[q] + 1 (>= 0, so the trunk's ReLU keeps it) and bn1 subtracts the 1.
+void write_rung_model(const std::string& path, const Tensor& catalog,
+                      const std::vector<std::vector<float>>& queries,
+                      DType dtype, Index group_size, Index clusters) {
+  const Index items = catalog.shape()[0];
+  const Index dim = catalog.shape()[1];
+  const Index vocab = static_cast<Index>(queries.size()) + 1;
+  Tensor table({vocab, dim});
+  for (Index q = 1; q < vocab; ++q) {
+    const std::vector<float>& query = queries[static_cast<std::size_t>(q - 1)];
+    for (Index d = 0; d < dim; ++d) {
+      table.at2(q, d) = query[static_cast<std::size_t>(d)] + 1.0f;
+    }
+  }
+  Tensor weight({dim, items});
+  for (Index i = 0; i < items; ++i) {
+    for (Index d = 0; d < dim; ++d) {
+      weight.at2(d, i) = catalog.at2(i, d);
+    }
+  }
+  ModelWriter writer(path);
+  writer.set_metadata("arch", "ranking");
+  writer.set_metadata("technique", "uncompressed");
+  writer.set_metadata_int("vocab", vocab);
+  writer.set_metadata_int("embed_dim", dim);
+  writer.set_metadata_int("knob", 0);
+  writer.set_metadata_int("output_dim", items);
+  writer.add_tensor("emb.table", table);
+  writer.add_tensor("bn1.gamma", Tensor::full({dim}, 1.0f));
+  writer.add_tensor("bn1.beta", Tensor({dim}));
+  writer.add_tensor("bn1.mean", Tensor::full({dim}, 1.0f));
+  writer.add_tensor("bn1.var", Tensor::full({dim}, 1.0f));
+  writer.add_tensor("out.weight", weight, dtype, group_size);
+  writer.add_tensor("out.bias", Tensor({items}), dtype, group_size);
+  writer.set_emit_catalog_index(true, clusters);
+  writer.finish();
+}
+
+// Ranks every query, one run_batch call each, timing the whole call.
+Ranking rank_queries(ExecutionContext& context, Index queries, Index k,
+                     Index nprobe) {
+  std::vector<std::vector<std::int32_t>> history = {{1}};
+  const std::vector<Index> nprobes = {nprobe};
+  std::vector<std::vector<ScoredId>> topk;
+  context.run_batch(history, k, &topk, &nprobes);  // warm: page the file in
+  Ranking ranking;
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(queries));
+  double bytes_sum = 0;
+  for (Index q = 0; q < queries; ++q) {
+    history[0][0] = static_cast<std::int32_t>(q + 1);
+    const auto start = std::chrono::steady_clock::now();
+    const BatchResult result = context.run_batch(history, k, &topk, &nprobes);
+    samples.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+    ranking.topk.push_back(topk[0]);
+    bytes_sum += static_cast<double>(result.scanned_bytes);
+  }
+  ranking.scan = latency_stats_from_samples(std::move(samples));
+  ranking.mean_scanned_bytes = bytes_sum / static_cast<double>(queries);
+  return ranking;
 }
 
 }  // namespace
@@ -126,20 +218,12 @@ int main(int argc, char** argv) {
     query_vecs.push_back(std::move(v));
   }
 
-  // f32 reference rankings (scalar kernels: the contract family).
-  const QuantizedTensor ref_catalog = quantize(catalog_f32, DType::kF32);
-  const CatalogScorer reference(ref_catalog, scalar_kernels());
-  std::vector<std::vector<ScoredId>> ref_topk;
-  ref_topk.reserve(query_vecs.size());
-  for (const auto& q : query_vecs) {
-    ref_topk.push_back(reference.top_k(q.data(), k));
-  }
-
   struct Rung {
     const char* label;
     DType dtype;
     Index group_size;
   };
+  // f32 first: its exact ranking is every rung's recall reference.
   const std::vector<Rung> rungs = {
       {"f32", DType::kF32, 0},  {"f16", DType::kF16, 0},
       {"i8", DType::kI8, 0},    {"i4", DType::kI4, 0},
@@ -150,14 +234,36 @@ int main(int argc, char** argv) {
                    "mean ms", "catalog MB", "vs f32"});
   std::vector<RungResult> results;
   std::vector<PrunedResult> pruned_results;
-  std::size_t f32_bytes = 0;
+  std::vector<std::vector<ScoredId>> ref_topk;
+  std::uint64_t f32_bytes = 0;
+  bool exact_at_full_probe = true;
   for (const Rung& rung : rungs) {
-    const QuantizedTensor q = quantize(catalog_f32, rung.dtype,
-                                       rung.group_size);
-    const CatalogScorer scorer(q, select_kernels());
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("memcom_session_topk_" + std::string(rung.label) + ".mcm"))
+            .string();
+    write_rung_model(path, catalog_f32, query_vecs, rung.dtype,
+                     rung.group_size, clusters);
+    auto compiled = std::make_shared<const CompiledModel>(
+        std::make_shared<const MmapModel>(path));
+    if (!compiled->has_catalog_index()) {
+      std::cerr << rung.label << ": catalog index not adopted: "
+                << compiled->index_fallback_reason() << "\n";
+      return 1;
+    }
+    ExecutionContext context(compiled, tflite_profile());
+
+    // The rung's exact ranking: its recall against f32, and the pruned
+    // phase's reference.
+    const Ranking exact = rank_queries(context, queries, k, 0);
+    if (rung.dtype == DType::kF32) {
+      ref_topk = exact.topk;
+    }
     RungResult result;
     result.dtype = rung.label;
-    result.resident_bytes = scorer.resident_bytes();
+    result.scan = exact.scan;
+    result.resident_bytes =
+        static_cast<std::uint64_t>(std::llround(exact.mean_scanned_bytes));
     if (rung.dtype == DType::kF32) {
       f32_bytes = result.resident_bytes;
     }
@@ -165,27 +271,11 @@ int main(int argc, char** argv) {
         f32_bytes > 0 ? static_cast<double>(result.resident_bytes) /
                             static_cast<double>(f32_bytes)
                       : 1.0;
-
-    // Warm pass (page the catalog in), then the measured per-query scans.
-    // The rung's exact top-k lists double as the pruned phase's reference.
-    (void)scorer.top_k(query_vecs.front().data(), k);
-    std::vector<double> samples;
-    samples.reserve(query_vecs.size());
     double recall_sum = 0;
-    std::vector<std::vector<ScoredId>> rung_topk;
-    rung_topk.reserve(query_vecs.size());
-    for (std::size_t i = 0; i < query_vecs.size(); ++i) {
-      const auto start = std::chrono::steady_clock::now();
-      std::vector<ScoredId> top = scorer.top_k(query_vecs[i].data(), k);
-      samples.push_back(
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-      recall_sum += intersection_recall(top, ref_topk[i]);
-      rung_topk.push_back(std::move(top));
+    for (std::size_t i = 0; i < exact.topk.size(); ++i) {
+      recall_sum += intersection_recall(exact.topk[i], ref_topk[i]);
     }
-    result.scan = latency_stats_from_samples(std::move(samples));
-    result.recall_at_k = recall_sum / static_cast<double>(query_vecs.size());
+    result.recall_at_k = recall_sum / static_cast<double>(queries);
     results.push_back(result);
 
     table.add_row({result.dtype, format_float(result.recall_at_k, 4),
@@ -197,53 +287,40 @@ int main(int argc, char** argv) {
                                 3),
                    format_float(result.bytes_ratio_vs_f32, 3)});
 
-    // Pruned frontier for this rung: one deterministic index over the
-    // rung's own compressed rows, probed at a geometric nprobe sweep.
-    CatalogIndexConfig index_config;
-    index_config.clusters = std::min(clusters, items);
-    const CatalogIndex index = build_catalog_index(q, index_config);
-    const PrunedCatalogScorer pruned_scorer(scorer, index);
+    // Pruned frontier for this rung: the file's own index, probed at a
+    // geometric nprobe sweep that ends at the full probe.
+    const Index cells = compiled->catalog_index().clusters;
     std::vector<Index> sweep;
     for (const Index np :
-         {Index{1}, index.clusters / 64, index.clusters / 32,
-          index.clusters / 16, index.clusters / 8, index.clusters * 3 / 16,
-          index.clusters / 4, index.clusters / 2, index.clusters}) {
+         {Index{1}, cells / 64, cells / 32, cells / 16, cells / 8,
+          cells * 3 / 16, cells / 4, cells / 2, cells}) {
       if (np >= 1 && (sweep.empty() || np > sweep.back())) {
         sweep.push_back(np);
       }
     }
     for (const Index np : sweep) {
-      (void)pruned_scorer.top_k(query_vecs.front().data(), k, np);
+      const Ranking pruned = rank_queries(context, queries, k, np);
       PrunedResult point;
       point.dtype = rung.label;
-      point.clusters = index.clusters;
+      point.clusters = cells;
       point.nprobe = np;
-      std::vector<double> pruned_samples;
-      pruned_samples.reserve(query_vecs.size());
+      point.scan = pruned.scan;
       double pruned_recall_sum = 0;
-      std::uint64_t bytes_sum = 0;
-      for (std::size_t i = 0; i < query_vecs.size(); ++i) {
-        ScanStats stats;
-        const auto start = std::chrono::steady_clock::now();
-        const std::vector<ScoredId> top =
-            pruned_scorer.top_k(query_vecs[i].data(), k, np, &stats);
-        pruned_samples.push_back(
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count());
-        pruned_recall_sum += intersection_recall(top, rung_topk[i]);
-        bytes_sum += stats.scanned_bytes;
+      for (std::size_t i = 0; i < pruned.topk.size(); ++i) {
+        pruned_recall_sum += intersection_recall(pruned.topk[i], exact.topk[i]);
+        if (np == cells && !same_ranking(pruned.topk[i], exact.topk[i])) {
+          std::cerr << rung.label << ": full probe differs from the exact "
+                    << "ranking on query " << i << "\n";
+          exact_at_full_probe = false;
+        }
       }
-      point.scan = latency_stats_from_samples(std::move(pruned_samples));
-      point.recall_at_k =
-          pruned_recall_sum / static_cast<double>(query_vecs.size());
-      point.mean_scanned_bytes = static_cast<double>(bytes_sum) /
-                                 static_cast<double>(query_vecs.size());
-      point.bytes_fraction =
-          point.mean_scanned_bytes /
-          static_cast<double>(result.resident_bytes);
+      point.recall_at_k = pruned_recall_sum / static_cast<double>(queries);
+      point.mean_scanned_bytes = pruned.mean_scanned_bytes;
+      point.bytes_fraction = point.mean_scanned_bytes /
+                             static_cast<double>(result.resident_bytes);
       pruned_results.push_back(point);
     }
+    std::filesystem::remove(path);
   }
 
   std::cout << table.to_string();
@@ -292,5 +369,10 @@ int main(int argc, char** argv) {
   }
   out << "  ]\n}\n";
   std::cout << "\nwrote " << json_path << "\n";
+  if (!exact_at_full_probe) {
+    std::cerr << "FAIL: a full-probe ranking differs from its rung's exact "
+                 "ranking\n";
+    return 1;
+  }
   return 0;
 }

@@ -38,6 +38,17 @@ const TensorEntry* find_entry(const MmapModel& model, const std::string& name) {
   return nullptr;
 }
 
+// Materializes a row-major [rows, cols] compressed table as f32 through
+// the SCALAR reference dequantizer (build time only).
+std::vector<float> dequantize_catalog_rows(const SpanSrc& src, Index rows,
+                                           Index cols) {
+  check(rows > 0 && cols > 0, "dequantize_catalog_rows: empty catalog");
+  std::vector<float> out(static_cast<std::size_t>(rows) *
+                         static_cast<std::size_t>(cols));
+  // Elementwise, so one whole-range call equals per-row calls bit-for-bit.
+  scalar_kernels().dequant_span(src, 0, rows * cols, out.data());
+  return out;
+}
 
 // The index's own header and its agreement with the file's output catalog;
 // the frame was checked by the reader.
@@ -133,30 +144,15 @@ Index default_catalog_clusters(Index items) {
   return std::max<Index>(1, std::min(items, c));
 }
 
-std::vector<float> dequantize_catalog_rows(const SpanSrc& src, Index items,
-                                           Index dim) {
-  check(items > 0 && dim > 0, "dequantize_catalog_rows: empty catalog");
-  std::vector<float> rows(static_cast<std::size_t>(items) *
-                          static_cast<std::size_t>(dim));
-  // Elementwise, so one whole-range call equals per-row calls bit-for-bit.
-  scalar_kernels().dequant_span(src, 0, items * dim, rows.data());
-  return rows;
-}
-
-std::vector<ScoredId> CatalogIndex::probe(const KernelSet& kernels,
-                                          const float* query,
-                                          Index nprobe) const {
+void CatalogIndex::probe(const KernelSet& kernels, const float* query,
+                         Index nprobe, std::vector<ScoredId>* heap) const {
   const Index kept = std::min(std::max<Index>(nprobe, 0), clusters);
-  std::vector<ScoredId> heap;
-  heap.reserve(static_cast<std::size_t>(kept));
-  if (kept == 0) {
-    return heap;
+  heap->clear();
+  heap->reserve(static_cast<std::size_t>(kept));
+  for (Index c = 0; c < clusters && kept > 0; ++c) {
+    topk_offer(*heap, kept, ScoredId{kernels.dot(query, centroid(c), dim), c});
   }
-  for (Index c = 0; c < clusters; ++c) {
-    topk_offer(heap, kept, ScoredId{kernels.dot(query, centroid(c), dim), c});
-  }
-  std::sort(heap.begin(), heap.end(), topk_better);
-  return heap;
+  std::sort(heap->begin(), heap->end(), topk_better);
 }
 
 CatalogIndex build_catalog_index(const float* rows, Index items, Index dim,
@@ -293,16 +289,6 @@ CatalogIndex build_catalog_index(const float* rows, Index items, Index dim,
   return index;
 }
 
-CatalogIndex build_catalog_index(const QuantizedTensor& catalog,
-                                 const CatalogIndexConfig& config) {
-  check(catalog.shape.size() == 2, "build_catalog_index: catalog must be 2-D");
-  const Index items = catalog.shape[0];
-  const Index dim = catalog.shape[1];
-  const std::vector<float> rows =
-      dequantize_catalog_rows(make_span_src(catalog), items, dim);
-  return build_catalog_index(rows.data(), items, dim, config);
-}
-
 CatalogIndex build_catalog_index_for_model(const MmapModel& model,
                                            const CatalogIndexConfig& config) {
   const TensorEntry* weight = find_entry(model, "out.weight");
@@ -338,69 +324,6 @@ CatalogIndex build_catalog_index_for_model(const MmapModel& model,
   index.model_name = model.has_model_identity() ? model.model_name() : "";
   index.model_version = model.has_model_identity() ? model.model_version() : 0;
   return index;
-}
-
-std::uint64_t span_scan_bytes(const SpanSrc& src, Index offset, Index count) {
-  if (count <= 0) {
-    return 0;
-  }
-  if (src.dtype == DType::kI4G) {
-    const Index g = src.group_size;
-    const Index g0 = offset / g;
-    const Index g1 = (offset + count - 1) / g;
-    const ByteSpan nibbles = packed_byte_span(offset, count, 4);
-    return static_cast<std::uint64_t>(g1 - g0 + 1) * sizeof(float) +
-           static_cast<std::uint64_t>(nibbles.length);
-  }
-  const ByteSpan span = packed_byte_span(offset, count, dtype_bits(src.dtype));
-  return static_cast<std::uint64_t>(span.length);
-}
-
-PrunedCatalogScorer::PrunedCatalogScorer(const CatalogScorer& exact,
-                                         const CatalogIndex& index)
-    : exact_(&exact), index_(&index) {
-  check(exact.items() == index.items && exact.dim() == index.dim,
-        "PrunedCatalogScorer: index does not match catalog");
-}
-
-std::vector<ScoredId> PrunedCatalogScorer::top_k(const float* query, Index k,
-                                                 Index nprobe,
-                                                 ScanStats* stats) const {
-  check(k >= 0, "PrunedCatalogScorer::top_k: negative k");
-  const Index clusters = index_->clusters;
-  const Index probes = std::min(std::max<Index>(nprobe, 1), clusters);
-  const KernelSet& ker = exact_->kernels();
-  const SpanSrc& src = exact_->src();
-  const Index dim = exact_->dim();
-
-  const std::vector<ScoredId> probed = index_->probe(ker, query, probes);
-
-  const Index kept = std::min(k, exact_->items());
-  std::vector<ScoredId> heap;
-  heap.reserve(static_cast<std::size_t>(kept));
-  Index scanned_rows = 0;
-  std::uint64_t scanned_bytes = index_->centroid_bytes();
-  for (const ScoredId& cluster : probed) {
-    const std::size_t begin = index_->offsets[static_cast<std::size_t>(cluster.id)];
-    const std::size_t end =
-        index_->offsets[static_cast<std::size_t>(cluster.id) + 1];
-    for (std::size_t pos = begin; pos < end; ++pos) {
-      const Index id = static_cast<Index>(index_->perm[pos]);
-      if (kept > 0) {
-        topk_offer(heap, kept,
-                   ScoredId{ker.dot_span(src, id * dim, dim, query), id});
-      }
-      scanned_bytes += span_scan_bytes(src, id * dim, dim);
-    }
-    scanned_rows += static_cast<Index>(end - begin);
-  }
-  std::sort(heap.begin(), heap.end(), topk_better);
-  if (stats != nullptr) {
-    stats->probed_clusters = probes;
-    stats->scanned_rows = scanned_rows;
-    stats->scanned_bytes = scanned_bytes;
-  }
-  return heap;
 }
 
 std::vector<std::uint8_t> serialize_catalog_index(const CatalogIndex& index) {

@@ -1,21 +1,25 @@
 // Clustered pruned top-k catalog scan — an inverted-file (IVF) index over
 // the COMPRESSED item catalog.
 //
-// PR 8's session workload ranks a query vector against every compressed
-// catalog row: O(items·dim) per request. This module makes that sweep a
+// The session workload ranks a query vector against every compressed
+// catalog column: O(items·dim) per request. This module makes that sweep a
 // recall-controlled fraction: a deterministic k-means partitions the
 // catalog into `clusters` cells, the query is first scored against the
-// small f32 centroid table, and only the `nprobe` best cells' rows are
-// streamed through the SAME KernelSet dot_span path the exact scan uses.
+// small f32 centroid table (CatalogIndex::probe), and only the `nprobe`
+// best cells' columns are scored. The scoring itself happens in
+// ExecutionContext::run_batch: a pruned row gathers its probed columns off
+// the batch's shared output sweep (apply_dense_rows), under the same
+// per-element rules as an exact row's logits.
 //
-// Exactness contract (the differential anchor): every probed row's score
-// is produced by the identical dot_span call the exact scan would make, so
-// per-row scores are bit-identical; ranking uses the same topk_better
-// strict total order, whose bounded-heap result is independent of offer
-// order. Therefore `nprobe == num_clusters` — where every item is offered
-// exactly once — is PROVABLY bit-identical to CatalogScorer::top_k, across
-// kernel families and shard counts. Smaller nprobe trades recall for
-// scanned bytes; it never changes a returned item's score.
+// Exactness contract (the differential anchor): every probed column's
+// score is bit-identical to that item's exact logit, and ranking uses the
+// same topk_better strict total order, whose bounded-heap result is
+// independent of offer order. Therefore `nprobe == num_clusters` — where
+// every item is offered exactly once — is bit-identical to the exact
+// ranked row, across kernel families and shard counts
+// (tests/test_differential.cpp, tests/test_catalog_index.cpp). Smaller
+// nprobe trades recall for scanned bytes; it never changes a returned
+// item's score.
 //
 // Determinism contract (what makes the index reproducible and the .mcm
 // section stable): k-means runs from a fixed seed for a fixed iteration
@@ -61,8 +65,8 @@ struct CatalogIndexConfig {
 // convenience members; buffers are owned (built) or zero-copy views
 // (adopted from a v4 section).
 struct CatalogIndex {
-  // Identity of the model the index was built for (empty/0 for standalone
-  // catalog indices that never hit disk, e.g. the bench's).
+  // Identity of the model the index was built for (empty/0 for a file
+  // without identity, or an index built straight from f32 rows).
   std::string model_name;
   std::uint64_t model_version = 0;
 
@@ -90,31 +94,23 @@ struct CatalogIndex {
            static_cast<std::uint64_t>(dim) * sizeof(float);
   }
 
-  // The `nprobe` best clusters for `query`, best-first under topk_better
-  // on (centroid dot, cluster id) — deterministic across kernel families
-  // because KernelSet::dot is bit-identical scalar vs AVX2.
-  std::vector<ScoredId> probe(const KernelSet& kernels, const float* query,
-                              Index nprobe) const;
+  // Fills `heap` (emptied first, capacity kept) with the min(nprobe,
+  // clusters) best clusters for `query`, best-first under topk_better on
+  // (centroid dot, cluster id) — deterministic across kernel families
+  // because KernelSet::dot is bit-identical scalar vs AVX2. Allocates only
+  // while `heap` grows toward that count.
+  void probe(const KernelSet& kernels, const float* query, Index nprobe,
+             std::vector<ScoredId>* heap) const;
 };
 
 // Default cell count: ~sqrt(items), the classic IVF heuristic.
 Index default_catalog_clusters(Index items);
-
-// Materializes an item-major [items, dim] compressed catalog as f32 rows
-// via the SCALAR reference dequantizer (build-time only; the serving path
-// never does this).
-std::vector<float> dequantize_catalog_rows(const SpanSrc& src, Index items,
-                                           Index dim);
 
 // Deterministic k-means over f32 rows [items, dim]. Training runs on a
 // seeded sample (capped at clusters·32 rows) with centroids initialized
 // evenly over the sorted sample; the final assignment pass covers every
 // item. See the determinism contract above.
 CatalogIndex build_catalog_index(const float* rows, Index items, Index dim,
-                                 const CatalogIndexConfig& config = {});
-
-// Convenience over an item-major compressed catalog (bench/test path).
-CatalogIndex build_catalog_index(const QuantizedTensor& catalog,
                                  const CatalogIndexConfig& config = {});
 
 // Builds the index a .mcm model embeds: rows are the output catalog's
@@ -124,40 +120,6 @@ CatalogIndex build_catalog_index(const QuantizedTensor& catalog,
 // output catalog.
 CatalogIndex build_catalog_index_for_model(const MmapModel& model,
                                            const CatalogIndexConfig& config = {});
-
-// Scans centroids first, then scores only the probed clusters' rows
-// through the wrapped CatalogScorer's dot_span path. Borrows both; they
-// must outlive the scorer.
-struct ScanStats {
-  Index probed_clusters = 0;
-  Index scanned_rows = 0;
-  // Analytic compressed bytes read: probed rows' stored payload (i4g
-  // includes the touched scale groups) + the centroid table.
-  std::uint64_t scanned_bytes = 0;
-};
-
-class PrunedCatalogScorer {
- public:
-  PrunedCatalogScorer(const CatalogScorer& exact, const CatalogIndex& index);
-
-  Index items() const { return exact_->items(); }
-  Index dim() const { return exact_->dim(); }
-  const CatalogIndex& index() const { return *index_; }
-
-  // nprobe is clamped to [1, clusters]; nprobe == clusters is bit-identical
-  // to exact.top_k(query, k).
-  std::vector<ScoredId> top_k(const float* query, Index k, Index nprobe,
-                              ScanStats* stats = nullptr) const;
-
- private:
-  const CatalogScorer* exact_;
-  const CatalogIndex* index_;
-};
-
-// Stored bytes dot_span reads for one row [offset, offset+count) of `src`
-// — packed payload plus, for i4g, the overlapped scale groups. Shared by
-// ScanStats and the serving counters.
-std::uint64_t span_scan_bytes(const SpanSrc& src, Index offset, Index count);
 
 // Serializes `index` into the byte section ModelWriter appends for v4
 // files: identity + geometry header, then centroid, id-table and offset

@@ -276,7 +276,7 @@ Index ExecutionContext::embed_pooled(const std::int32_t* ids, Index length) {
         break;
       }
       case Technique::kWeinberger:
-        // forward_scratch routes weinberger through embed_onehot_pooled;
+        // embed_stage routes weinberger through embed_onehot_pooled;
         // keeping a shadow lookup formulation here would silently diverge.
         check(false, "engine: weinberger uses the one-hot path");
         break;
@@ -432,22 +432,15 @@ void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
   op_count_ += rows;
 }
 
-const float* ExecutionContext::forward_trunk(const std::int32_t* ids,
-                                             Index length, RawForward& raw) {
+void ExecutionContext::embed_stage(const std::int32_t* ids, Index length) {
   const CompiledModel& plan = *compiled_;
   op_count_ = 0;
   activation_bytes_ = 0;
   const Index e = plan.embed_dim();
 
-  const auto start = Clock::now();
-
   // --- Embedding stage + masked average pooling ---
   if (plan.uses_onehot_path()) {
-    const auto onehot_start = Clock::now();
     embed_onehot_pooled(ids, length);
-    // The profile's slowdown models the un-fused interpreter path.
-    raw.onehot_extra_ms =
-        elapsed_ms(onehot_start) * (profile_.onehot_slowdown - 1.0);
     activation_bytes_ += plan.hash_size() * 4;  // the dense one-hot vector
   } else {
     const Index real = embed_pooled(ids, length);
@@ -461,10 +454,11 @@ const float* ExecutionContext::forward_trunk(const std::int32_t* ids,
   }
   op_count_ += plan.embedding_stage_ops();
   ++op_count_;  // pooling op
-  raw.embed_ops = op_count_;
-  raw.embed_compute_ms = elapsed_ms(start);
+}
 
-  // --- Trunk: ReLU -> BN [-> Dense(e/2)+ReLU -> BN] -> Dense(out) ---
+const float* ExecutionContext::trunk_stage() {
+  const CompiledModel& plan = *compiled_;
+  // --- Trunk: ReLU -> BN [-> Dense(e/2)+ReLU -> BN] ---
   for (float& v : pooled_) {
     v = std::max(v, 0.0f);
   }
@@ -481,22 +475,7 @@ const float* ExecutionContext::forward_trunk(const std::int32_t* ids,
     trunk = hidden_.data();
     activation_bytes_ += plan.hidden_dim() * 4;
   }
-  raw.compute_ms = elapsed_ms(start);
   return trunk;
-}
-
-ExecutionContext::RawForward ExecutionContext::forward_scratch(
-    const std::int32_t* ids, Index length) {
-  const CompiledModel& plan = *compiled_;
-  RawForward raw;
-  const float* trunk = forward_trunk(ids, length, raw);
-  const auto out_start = Clock::now();
-  apply_dense(plan.out(), trunk, logits_.data());
-  raw.compute_ms += elapsed_ms(out_start);
-  activation_bytes_ += plan.output_dim() * 4 + plan.embed_dim() * 4;
-  meter_.note_activation_bytes(activation_bytes_);
-  raw.op_count = op_count_;
-  return raw;
 }
 
 void ExecutionContext::probe_columns(const float* trunk, Index nprobe,
@@ -512,8 +491,7 @@ void ExecutionContext::probe_columns(const float* trunk, Index nprobe,
   // Probe query [trunk; 1.0] against centroids built over [W[:,j]; b_j].
   std::copy(trunk, trunk + in, query_.begin());
   query_[static_cast<std::size_t>(in)] = 1.0f;
-  const std::vector<ScoredId> probed =
-      index.probe(plan.kernels(), query_.data(), nprobe);
+  index.probe(plan.kernels(), query_.data(), nprobe, &probed_);
 
   const DType wt = dense.weight.dtype;
   const std::uint64_t elem_bytes = wt == DType::kF32 ? 4
@@ -527,7 +505,7 @@ void ExecutionContext::probe_columns(const float* trunk, Index nprobe,
 
   cols->clear();
   std::uint64_t bytes = index.centroid_bytes();
-  for (const ScoredId& cluster : probed) {
+  for (const ScoredId& cluster : probed_) {
     const std::size_t begin =
         index.offsets[static_cast<std::size_t>(cluster.id)];
     const std::size_t end =
@@ -565,23 +543,36 @@ void ExecutionContext::finish_pruned(const GatherRow& row, Index kept,
 
 InferenceView ExecutionContext::run_view(const std::int32_t* ids,
                                          Index length) {
+  const CompiledModel& plan = *compiled_;
   const RowCacheStats before = row_cache_stats();
-  const RawForward raw = forward_scratch(ids, length);
+  const auto start = Clock::now();
+  embed_stage(ids, length);
+  const double embed_ms = elapsed_ms(start);
+  const Index embed_ops = op_count_;
+  apply_dense(plan.out(), trunk_stage(), logits_.data());
+  const double compute_ms = elapsed_ms(start);
+  activation_bytes_ += plan.output_dim() * 4 + plan.embed_dim() * 4;
+  meter_.note_activation_bytes(activation_bytes_);
+
   InferenceView view;
   view.logits = logits_.data();
-  view.dim = compiled_->output_dim();
-  view.op_count = raw.op_count;
+  view.dim = plan.output_dim();
+  view.op_count = op_count_;
   if (before.enabled) {
     const RowCacheStats after = row_cache_stats();
     view.cache_hits = after.hits - before.hits;
     view.cache_misses = after.misses - before.misses;
   }
-  view.embedding_ms = raw.embed_compute_ms + raw.onehot_extra_ms +
-                      static_cast<double>(raw.embed_ops) *
-                          profile_.per_op_dispatch_us / 1000.0;
-  view.total_ms = raw.compute_ms + raw.onehot_extra_ms +
-                  static_cast<double>(raw.op_count) *
-                      profile_.per_op_dispatch_us / 1000.0;
+  // Modeled: the profile's slowdown stands for the un-fused interpreter
+  // path of the one-hot embedding stage, and every op pays its dispatch.
+  const double onehot_extra_ms =
+      plan.uses_onehot_path() ? embed_ms * (profile_.onehot_slowdown - 1.0)
+                              : 0.0;
+  const double dispatch_ms = profile_.per_op_dispatch_us / 1000.0;
+  view.embedding_ms = embed_ms + onehot_extra_ms +
+                      static_cast<double>(embed_ops) * dispatch_ms;
+  view.total_ms = compute_ms + onehot_extra_ms +
+                  static_cast<double>(view.op_count) * dispatch_ms;
   return view;
 }
 
@@ -635,9 +626,8 @@ BatchResult ExecutionContext::run_batch(
   Index exact_rows = 0;
   for (Index b = 0; b < result.batch; ++b) {
     const auto& history = histories[static_cast<std::size_t>(b)];
-    RawForward raw;
-    const float* trunk =
-        forward_trunk(history.data(), static_cast<Index>(history.size()), raw);
+    embed_stage(history.data(), static_cast<Index>(history.size()));
+    const float* trunk = trunk_stage();
     std::vector<ScoredId>* heap = nullptr;
     if (top_k > 0) {
       heap = &(*topk_out)[static_cast<std::size_t>(b)];

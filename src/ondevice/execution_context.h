@@ -124,8 +124,8 @@ class ExecutionContext {
   // the exact row's logit — so nprobe == clusters reproduces the exact
   // ranking exactly. 0 (or a missing/defective index) is the exact full
   // scan. A pruned row's answer is its ranked list only, like an exact
-  // ranked row's. (Its probe still allocates: CatalogIndex::probe returns a
-  // vector.)
+  // ranked row's; once warm on the same histories it allocates nothing
+  // either.
   BatchResult run_batch(const std::vector<std::vector<std::int32_t>>& histories,
                         Index top_k,
                         std::vector<std::vector<ScoredId>>* topk_out,
@@ -144,15 +144,6 @@ class ExecutionContext {
   RowCacheStats row_cache_stats() const;
 
  private:
-  // Raw (overhead-free) timings of one forward into the scratch arena.
-  struct RawForward {
-    double embed_compute_ms = 0;
-    double compute_ms = 0;
-    double onehot_extra_ms = 0;
-    Index embed_ops = 0;
-    Index op_count = 0;
-  };
-
   void resize_scratch();
   bool attach_row_cache();
 
@@ -172,15 +163,13 @@ class ExecutionContext {
   const float* fetch_uncached(const TensorRef& ref, Index offset, Index count,
                               float* scratch);
 
-  // Shared trunk (embedding → pooling → ReLU → bn1 [→ dense1 → ReLU →
-  // bn2]); fills `raw`'s embed timings and compute-so-far, returns the
-  // trunk activation both output stages score against.
-  const float* forward_trunk(const std::int32_t* ids, Index length,
-                             RawForward& raw);
-  // Computes logits into logits_; returns raw timings. The code path
-  // behind run_view(); run_batch() runs the same trunk and output sweep
-  // for many rows at once.
-  RawForward forward_scratch(const std::int32_t* ids, Index length);
+  // The forward both run_view() and run_batch() share, in two stages so
+  // run_view() can time the embedding stage on its own: embed_stage() pools
+  // the embedding into pooled_ (resetting the op and activation counts),
+  // trunk_stage() runs ReLU → bn1 [→ dense1 → ReLU → bn2] and returns the
+  // trunk activation the output layer scores. Neither reads a clock.
+  void embed_stage(const std::int32_t* ids, Index length);
+  const float* trunk_stage();
   // A pruned row's share of the output sweep: its trunk `x`, its probed
   // catalog columns (ascending) and one accumulator per column. [lo, hi)
   // is the sweep's cursor: the row's columns in the current tile.
@@ -274,6 +263,7 @@ class ExecutionContext {
   std::vector<GatherRow> gathers_;
   std::vector<float> onehot_;   // weinberger bag-of-words, size m
   std::vector<float> query_;    // pruned probe query [trunk; 1.0], in+1
+  std::vector<ScoredId> probed_;  // a pruned row's probed clusters
 };
 
 }  // namespace memcom

@@ -27,12 +27,7 @@ ByteSpan packed_byte_span(Index offset, Index count, int bits) {
 
 namespace {
 
-// Dequant chunk for dot_span: both families stream a compressed row through
-// this many floats of stack at a time. Must be a multiple of 8 so every
-// chunk boundary is lane-aligned (element (done+i) mod 8 == i mod 8).
-constexpr Index kDotChunk = 256;
-
-// The pinned reduction of the dot kernels' 8 striped lanes. Shared by the
+// The pinned reduction of the dot kernel's 8 striped lanes. Shared by the
 // scalar and AVX2 bodies so the final sum order can never drift apart.
 inline float reduce8(const float lane[8]) {
   return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
@@ -98,22 +93,6 @@ float dot(const float* a, const float* b, Index n) {
   return reduce8(lane);
 }
 
-float dot_span(const SpanSrc& src, Index offset, Index count,
-               const float* vec) {
-  float buf[kDotChunk];
-  float lane[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  Index done = 0;
-  while (done < count) {
-    const Index chunk = std::min<Index>(kDotChunk, count - done);
-    dequant_span(src, offset + done, chunk, buf);
-    for (Index i = 0; i < chunk; ++i) {
-      lane[(done + i) & 7] += buf[i] * vec[done + i];
-    }
-    done += chunk;
-  }
-  return reduce8(lane);
-}
-
 Index first_ge(const float* s, Index n, float t) {
   for (Index i = 0; i < n; ++i) {
     if (s[i] >= t) {
@@ -130,8 +109,7 @@ namespace {
 const KernelSet kScalar = {
     "scalar",           scalar::dequant_span,       scalar::acc_add,
     scalar::acc_scale_add, scalar::acc_scale_bias_add, scalar::acc_mult_add,
-    scalar::axpy,       scalar::dot,                scalar::dot_span,
-    scalar::first_ge,
+    scalar::axpy,       scalar::dot,                scalar::first_ge,
 };
 
 }  // namespace
@@ -383,38 +361,6 @@ __attribute__((target("avx2"))) float dot(const float* a, const float* b,
   return reduce8(lane);
 }
 
-__attribute__((target("avx2,f16c"))) float dot_span(const SpanSrc& src,
-                                                    Index offset, Index count,
-                                                    const float* vec) {
-  float buf[kDotChunk];
-  __m256 vacc = _mm256_setzero_ps();
-  Index done = 0;
-  // Full 8-blocks through the vector accumulator; chunks are multiples of
-  // 8, so lanes stay aligned across chunk boundaries. The dequant is this
-  // family's own bit-identical dequant_span_impl, so every per-element
-  // product equals the scalar one.
-  while (done + 8 <= count) {
-    const Index chunk =
-        std::min<Index>(kDotChunk, (count - done) & ~Index{7});
-    dequant_span_impl(src, offset + done, chunk, buf);
-    for (Index i = 0; i < chunk; i += 8) {
-      const __m256 vr = _mm256_loadu_ps(buf + i);
-      const __m256 vq = _mm256_loadu_ps(vec + done + i);
-      vacc = _mm256_add_ps(vacc, _mm256_mul_ps(vr, vq));
-    }
-    done += chunk;
-  }
-  float lane[8];
-  _mm256_storeu_ps(lane, vacc);
-  if (done < count) {
-    dequant_span_impl(src, offset + done, count - done, buf);
-    for (Index i = 0; done + i < count; ++i) {
-      lane[(done + i) & 7] += buf[i] * vec[done + i];
-    }
-  }
-  return reduce8(lane);
-}
-
 // 8 scores per compare: _CMP_GE_OQ is float >= (false on NaN, true for
 // -0.0 >= +0.0), and the movemask's lowest set bit is the first hit.
 __attribute__((target("avx2"))) Index first_ge(const float* s, Index n,
@@ -443,16 +389,14 @@ namespace {
 const KernelSet kAvx2 = {
     "avx2",             avx2::dequant_span_impl,  avx2::acc_add,
     avx2::acc_scale_add, avx2::acc_scale_bias_add, avx2::acc_mult_add,
-    avx2::axpy,         avx2::dot,                avx2::dot_span,
-    avx2::first_ge,
+    avx2::axpy,         avx2::dot,                avx2::first_ge,
 };
 
 // Same set with the FUSED dense MAC swapped in (documented tolerance).
 const KernelSet kAvx2Fma = {
     "avx2+fma",         avx2::dequant_span_impl,  avx2::acc_add,
     avx2::acc_scale_add, avx2::acc_scale_bias_add, avx2::acc_mult_add,
-    avx2::axpy_fma,     avx2::dot,                avx2::dot_span,
-    avx2::first_ge,
+    avx2::axpy_fma,     avx2::dot,                avx2::first_ge,
 };
 
 }  // namespace
@@ -471,8 +415,7 @@ namespace {
 const KernelSet kNeonStub = {
     "neon-stub",        scalar::dequant_span,       scalar::acc_add,
     scalar::acc_scale_add, scalar::acc_scale_bias_add, scalar::acc_mult_add,
-    scalar::axpy,       scalar::dot,                scalar::dot_span,
-    scalar::first_ge,
+    scalar::axpy,       scalar::dot,                scalar::first_ge,
 };
 
 }  // namespace

@@ -69,24 +69,16 @@ struct KernelSet {
   // y[i] += a * x[i]            (dense MAC row, factorized projection row,
   //                              one-hot z*row accumulate)
   void (*axpy)(float* y, float a, const float* x, Index n) = nullptr;
-  // sum_i a[i]*b[i]             (f32 catalog row · session vector)
+  // sum_i a[i]*b[i]             (probe query · catalog-index centroid)
   //
-  // Bit-exactness contract for both dot kernels: 8-lane STRIPED
-  // accumulation — element i is multiplied and added into lane (i mod 8),
-  // each lane in increasing-i order — followed by the pinned reduction
+  // Bit-exactness contract: 8-lane STRIPED accumulation — element i is
+  // multiplied and added into lane (i mod 8), each lane in increasing-i
+  // order — followed by the pinned reduction
   // ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)). That is exactly what an 8-wide
   // vector accumulator computes, so the scalar reference reproduces the
   // AVX2 result bit-for-bit (no FMA contraction, same as the element-wise
   // kernels). tests/test_kernels.cpp enforces it across families.
   float (*dot)(const float* a, const float* b, Index n) = nullptr;
-  // sum_i dequant(src[offset+i]) * vec[i] for i in [0, count) — one
-  // COMPRESSED catalog row scored against a float query without ever
-  // materializing the row outside a small fixed stack buffer. Same striped
-  // contract as `dot`; the per-element products go through the family's
-  // bit-identical dequant_span, so scalar and AVX2 agree bit-for-bit for
-  // every dtype (f32/f16/i8/i4/i4g).
-  float (*dot_span)(const SpanSrc& src, Index offset, Index count,
-                    const float* vec) = nullptr;
   // Index of the first s[i] >= t in [0, n), or n when there is none — the
   // top-k threshold filter (ondevice/topk.h). A plain ordered compare
   // (-0.0 >= +0.0 holds, as float >= says), so every family returns the

@@ -49,63 +49,4 @@ std::vector<ScoredId> topk_full_sort(const float* scores, Index n, Index k) {
   return all;
 }
 
-SpanSrc make_span_src(const QuantizedTensor& q) {
-  SpanSrc src;
-  src.dtype = q.dtype;
-  src.scale = q.scale;
-  src.payload = q.payload.data();
-  if (q.dtype == DType::kI4G) {
-    src.group_scales = reinterpret_cast<const float*>(q.payload.data());
-    src.packed = q.payload.data() +
-                 i4g_scales_bytes(static_cast<std::size_t>(q.numel()),
-                                  q.group_size);
-    src.group_size = q.group_size;
-  }
-  return src;
-}
-
-CatalogScorer::CatalogScorer(const QuantizedTensor& catalog,
-                             const KernelSet& kernels)
-    : src_(make_span_src(catalog)),
-      resident_bytes_(catalog.payload.size()),
-      kernels_(&kernels) {
-  check(catalog.shape.size() == 2, "CatalogScorer: catalog must be 2-D");
-  items_ = catalog.shape[0];
-  dim_ = catalog.shape[1];
-  check(items_ > 0 && dim_ > 0, "CatalogScorer: empty catalog");
-}
-
-CatalogScorer::CatalogScorer(const SpanSrc& src, Index items, Index dim,
-                             std::size_t resident_bytes,
-                             const KernelSet& kernels)
-    : src_(src),
-      items_(items),
-      dim_(dim),
-      resident_bytes_(resident_bytes),
-      kernels_(&kernels) {
-  check(items_ > 0 && dim_ > 0, "CatalogScorer: empty catalog");
-}
-
-void CatalogScorer::score_all(const float* query, float* out) const {
-  for (Index i = 0; i < items_; ++i) {
-    out[i] = kernels_->dot_span(src_, i * dim_, dim_, query);
-  }
-}
-
-std::vector<ScoredId> CatalogScorer::top_k(const float* query, Index k) const {
-  check(k >= 0, "CatalogScorer::top_k: negative k");
-  const Index kept = std::min(k, items_);
-  std::vector<ScoredId> heap;
-  heap.reserve(static_cast<std::size_t>(kept));
-  if (kept == 0) {
-    return heap;
-  }
-  for (Index i = 0; i < items_; ++i) {
-    topk_offer(heap, kept,
-               ScoredId{kernels_->dot_span(src_, i * dim_, dim_, query), i});
-  }
-  std::sort(heap.begin(), heap.end(), topk_better);
-  return heap;
-}
-
 }  // namespace memcom

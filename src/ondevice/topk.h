@@ -1,13 +1,12 @@
-// Deterministic top-k selection + full-catalog scoring over a COMPRESSED
-// item table.
+// Deterministic top-k selection over catalog scores.
 //
-// The session workload's expensive step is ranking the session vector
-// against the entire item catalog (ROADMAP item 3, after *Efficient
-// On-Device Session-Based Recommendation*). That scan is itself a
-// compression target: CatalogScorer walks an item-major [items, dim] table
-// in its stored form (f32/f16/i8/i4/i4g) through the KernelSet dot_span
-// kernel, so the catalog is never materialized as f32 beyond a small fixed
-// stack buffer inside the kernel.
+// The session workload ranks the session vector against the entire
+// compressed item catalog (after *Efficient On-Device Session-Based
+// Recommendation*). That ranking runs in one place:
+// ExecutionContext::run_batch's output sweep, which offers each finished
+// tile of logits to a row's bounded heap through topk_offer_span (exact
+// rows) or offers a pruned row's gathered columns through topk_offer. This
+// header holds the heap, its filter and the order they share.
 //
 // Ordering contract (shared with gumbel_top_k in core/sampling.cpp and
 // enforced against a full-sort reference by tests/test_topk.cpp +
@@ -24,7 +23,6 @@
 
 #include "core/tensor.h"
 #include "ondevice/kernels.h"
-#include "ondevice/quantize.h"
 
 namespace memcom {
 
@@ -33,7 +31,7 @@ struct ScoredId {
   Index id = 0;
 };
 
-// The one comparator both top-k paths and gumbel_top_k agree on: true when
+// The one comparator every ranking path and gumbel_top_k agree on: true when
 // `a` ranks strictly ahead of `b`.
 inline bool topk_better(const ScoredId& a, const ScoredId& b) {
   return a.score > b.score || (a.score == b.score && a.id < b.id);
@@ -44,8 +42,8 @@ inline bool topk_better(const ScoredId& a, const ScoredId& b) {
 // topk_better the "maximum" is the element that beats nobody). Because
 // topk_better is a strict TOTAL order, the final heap contents — and hence
 // the sorted result — are independent of offer order: this is what makes
-// the pruned catalog scan's nprobe == num_clusters leg provably identical
-// to the exact full scan (see ondevice/catalog_index.h).
+// a pruned row's nprobe == num_clusters ranking provably identical to the
+// exact full scan (see ondevice/catalog_index.h).
 inline void topk_offer(std::vector<ScoredId>& heap, Index k, ScoredId cand) {
   if (static_cast<Index>(heap.size()) < k) {
     heap.push_back(cand);
@@ -76,47 +74,5 @@ std::vector<ScoredId> topk_select(const float* scores, Index n, Index k);
 
 // Full-sort reference (O(n log n)); topk_select must match it exactly.
 std::vector<ScoredId> topk_full_sort(const float* scores, Index n, Index k);
-
-// Codec view of a heap-owned QuantizedTensor (pre-splits the i4g scales
-// header exactly like CompiledModel::resolve does for mmap'd tensors). The
-// tensor must outlive the returned view.
-SpanSrc make_span_src(const QuantizedTensor& q);
-
-// Scores a float query vector against every row of an item-major
-// [items, dim] catalog kept in compressed form. Rows are streamed through
-// the selected family's dot_span — bit-identical scalar vs AVX2 — and
-// top_k() feeds them straight into the bounded heap, so neither the
-// catalog nor the score vector is ever materialized.
-class CatalogScorer {
- public:
-  // Borrows `catalog`; it must outlive the scorer.
-  CatalogScorer(const QuantizedTensor& catalog, const KernelSet& kernels);
-  // Zero-copy view form (e.g. over a CompiledModel output table).
-  CatalogScorer(const SpanSrc& src, Index items, Index dim,
-                std::size_t resident_bytes, const KernelSet& kernels);
-
-  Index items() const { return items_; }
-  Index dim() const { return dim_; }
-  // Compressed bytes the scan touches — the catalog's entire stored
-  // payload (every row is read once per query). This is the "catalog
-  // residency" column of the session bench.
-  std::size_t resident_bytes() const { return resident_bytes_; }
-  // Codec view + kernel family, shared with PrunedCatalogScorer so the
-  // pruned scan scores rows through the exact same dot_span path.
-  const SpanSrc& src() const { return src_; }
-  const KernelSet& kernels() const { return *kernels_; }
-
-  // out[i] = <row i, query> for all items.
-  void score_all(const float* query, float* out) const;
-  // Best k ids without materializing the score vector.
-  std::vector<ScoredId> top_k(const float* query, Index k) const;
-
- private:
-  SpanSrc src_;
-  Index items_ = 0;
-  Index dim_ = 0;
-  std::size_t resident_bytes_ = 0;
-  const KernelSet* kernels_ = nullptr;
-};
 
 }  // namespace memcom

@@ -1,7 +1,7 @@
 // Clustered pruned top-k catalog scan (ondevice/catalog_index.h): the
-// deterministic k-means build, the IVF exactness anchor (nprobe ==
-// num_clusters bit-identical to the exact full scan), pruned-subset score
-// fidelity, scan accounting, the .mcm v4 section round trip, and the
+// deterministic k-means build, the .mcm v4 section round trip, the serving
+// anchors — through run_batch, nprobe >= num_clusters is bit-identical to
+// the exact ranked row, and the scan counters rise with nprobe — and the
 // hardening contract — every corruption of the index section (truncation,
 // checksum flip, hostile declared cluster count, permutation corruption)
 // must decode as kStale with a diagnosable reason, and serving must fall
@@ -24,7 +24,6 @@
 #include "ondevice/compiled_model.h"
 #include "ondevice/engine.h"
 #include "ondevice/plan.h"
-#include "ondevice/quantize.h"
 #include "ondevice/serving.h"
 #include "repro/model.h"
 #include "test_util.h"
@@ -74,15 +73,6 @@ Tensor synthetic_catalog(Index items, Index dim, std::uint64_t seed) {
     }
   }
   return rows;
-}
-
-std::vector<float> random_query(Index dim, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<float> q(static_cast<std::size_t>(dim));
-  for (auto& v : q) {
-    v = rng.uniform(-1.0f, 1.0f);
-  }
-  return q;
 }
 
 class CatalogIndexFileTest : public ::testing::Test {
@@ -252,115 +242,6 @@ TEST(CatalogIndexBuild, ClusterCountClampedToItems) {
   EXPECT_EQ(index.perm.size(), 5u);
 }
 
-// --- The exactness anchor ---------------------------------------------------
-
-class PrunedScanExactness : public ::testing::TestWithParam<DType> {};
-
-// nprobe == num_clusters offers every item to the same bounded heap with
-// the identical dot_span score — the result must be BIT-IDENTICAL to the
-// exact scorer, for every dtype and both kernel families.
-TEST_P(PrunedScanExactness, FullProbeBitIdenticalToExactScan) {
-  const DType dtype = GetParam();
-  const Index items = 120, dim = 16, k = 10;
-  const Tensor rows = synthetic_catalog(items, dim, 77);
-  const QuantizedTensor catalog = quantize(rows, dtype);
-  CatalogIndexConfig config;
-  config.clusters = 11;
-  const CatalogIndex index = build_catalog_index(catalog, config);
-  for (const bool scalar : {true, false}) {
-    const KernelSet& kernels = scalar ? scalar_kernels() : select_kernels();
-    CatalogScorer exact(catalog, kernels);
-    PrunedCatalogScorer pruned(exact, index);
-    for (std::uint64_t q = 0; q < 6; ++q) {
-      const std::vector<float> query = random_query(dim, 100 + q);
-      const std::vector<ScoredId> want = exact.top_k(query.data(), k);
-      const std::vector<ScoredId> got =
-          pruned.top_k(query.data(), k, index.clusters);
-      ASSERT_EQ(got.size(), want.size()) << kernels.name << " q" << q;
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].id, want[i].id)
-            << kernels.name << " q" << q << " pos " << i;
-        EXPECT_EQ(got[i].score, want[i].score)
-            << kernels.name << " q" << q << " pos " << i;
-      }
-    }
-  }
-}
-
-// Partial probes return a SUBSET whose scores are bit-identical to the
-// exact scan's scores for those ids, in a consistent best-first order —
-// pruning may miss items, it may never alter a score.
-TEST_P(PrunedScanExactness, PartialProbeScoresAreExactScores) {
-  const DType dtype = GetParam();
-  const Index items = 120, dim = 16, k = 10;
-  const Tensor rows = synthetic_catalog(items, dim, 78);
-  const QuantizedTensor catalog = quantize(rows, dtype);
-  CatalogIndexConfig config;
-  config.clusters = 11;
-  const CatalogIndex index = build_catalog_index(catalog, config);
-  const KernelSet& kernels = select_kernels();
-  CatalogScorer exact(catalog, kernels);
-  PrunedCatalogScorer pruned(exact, index);
-  std::vector<float> all_scores(static_cast<std::size_t>(items));
-  for (std::uint64_t q = 0; q < 4; ++q) {
-    const std::vector<float> query = random_query(dim, 500 + q);
-    exact.score_all(query.data(), all_scores.data());
-    for (const Index nprobe : {1, 3, 6}) {
-      const std::vector<ScoredId> got = pruned.top_k(query.data(), k, nprobe);
-      EXPECT_LE(got.size(), static_cast<std::size_t>(k));
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].score,
-                  all_scores[static_cast<std::size_t>(got[i].id)])
-            << "nprobe " << nprobe << " pos " << i;
-        if (i > 0) {
-          EXPECT_TRUE(topk_better(got[i - 1], got[i]))
-              << "nprobe " << nprobe << " pos " << i;
-        }
-      }
-    }
-  }
-}
-
-TEST_P(PrunedScanExactness, ScanStatsAccountProbedClusters) {
-  const DType dtype = GetParam();
-  const Index items = 120, dim = 16;
-  const Tensor rows = synthetic_catalog(items, dim, 79);
-  const QuantizedTensor catalog = quantize(rows, dtype);
-  CatalogIndexConfig config;
-  config.clusters = 11;
-  const CatalogIndex index = build_catalog_index(catalog, config);
-  const KernelSet& kernels = select_kernels();
-  CatalogScorer exact(catalog, kernels);
-  PrunedCatalogScorer pruned(exact, index);
-  const std::vector<float> query = random_query(dim, 321);
-  std::uint64_t last_bytes = 0;
-  Index last_rows = 0;
-  for (const Index nprobe : {1, 4, 11}) {
-    ScanStats stats;
-    pruned.top_k(query.data(), 10, nprobe, &stats);
-    EXPECT_EQ(stats.probed_clusters, nprobe);
-    EXPECT_GT(stats.scanned_rows, last_rows);
-    EXPECT_GT(stats.scanned_bytes, last_bytes);
-    EXPECT_GE(stats.scanned_bytes, index.centroid_bytes());
-    last_rows = stats.scanned_rows;
-    last_bytes = stats.scanned_bytes;
-  }
-  // Full probe scans everything.
-  EXPECT_EQ(last_rows, items);
-  // Clamped: an oversized nprobe behaves as a full probe.
-  ScanStats clamped;
-  pruned.top_k(query.data(), 10, 999, &clamped);
-  EXPECT_EQ(clamped.probed_clusters, index.clusters);
-  EXPECT_EQ(clamped.scanned_rows, items);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllDtypes, PrunedScanExactness,
-                         ::testing::Values(DType::kF32, DType::kI8,
-                                           DType::kI4G),
-                         [](const ::testing::TestParamInfo<DType>& info) {
-                           return std::string(dtype_name(info.param));
-                         });
-
 // --- .mcm v4 section round trip ---------------------------------------------
 
 TEST_F(CatalogIndexFileTest, V4RoundTripAdoptsZeroCopy) {
@@ -423,6 +304,7 @@ TEST_F(CatalogIndexFileTest, PlanAndIndexSectionsCoexist) {
 
 // Serving-level anchor: run_batch with every cluster probed is bit-identical
 // to the exact ranked batch — ids AND scores — and the scan counters agree.
+// An oversized nprobe (10x the cluster count) clamps to the full probe.
 TEST_F(CatalogIndexFileTest, ServingFullProbeBitIdenticalToExact) {
   for (const DType dtype : {DType::kF32, DType::kI8, DType::kI4G}) {
     const std::string path = export_model(
@@ -434,28 +316,33 @@ TEST_F(CatalogIndexFileTest, ServingFullProbeBitIdenticalToExact) {
     ExecutionContext context(compiled, tflite_profile());
     const std::vector<std::vector<std::int32_t>> histories = {
         {1, 2, 3}, {}, {7, 7, 7, 7}, {42}};
-    std::vector<std::vector<ScoredId>> exact_topk, pruned_topk;
+    std::vector<std::vector<ScoredId>> exact_topk;
     const BatchResult exact = context.run_batch(histories, 8, &exact_topk);
-    const std::vector<Index> nprobes(histories.size(),
-                                     compiled->catalog_index().clusters);
-    const BatchResult pruned =
-        context.run_batch(histories, 8, &pruned_topk, &nprobes);
-    ASSERT_EQ(exact_topk.size(), pruned_topk.size());
-    for (std::size_t b = 0; b < exact_topk.size(); ++b) {
-      ASSERT_EQ(exact_topk[b].size(), pruned_topk[b].size()) << b;
-      for (std::size_t i = 0; i < exact_topk[b].size(); ++i) {
-        EXPECT_EQ(exact_topk[b][i].id, pruned_topk[b][i].id)
-            << dtype_name(dtype) << " row " << b << " pos " << i;
-        EXPECT_EQ(exact_topk[b][i].score, pruned_topk[b][i].score)
-            << dtype_name(dtype) << " row " << b << " pos " << i;
-      }
-    }
-    // Full probe scans every row; the analytic byte accounting differs
-    // from the exact blob accounting only by the centroid-table overhead.
-    EXPECT_EQ(pruned.scanned_rows, pruned.catalog_rows);
-    EXPECT_EQ(pruned.ranked_rows, static_cast<std::uint64_t>(4));
-    EXPECT_GT(pruned.scanned_bytes, 0u);
     EXPECT_EQ(exact.scanned_rows, exact.catalog_rows);
+    const Index clusters = compiled->catalog_index().clusters;
+    for (const Index nprobe : {clusters, 10 * clusters}) {
+      const std::string tag = std::string(dtype_name(dtype)) +
+                              " nprobe=" + std::to_string(nprobe);
+      std::vector<std::vector<ScoredId>> pruned_topk;
+      const std::vector<Index> nprobes(histories.size(), nprobe);
+      const BatchResult pruned =
+          context.run_batch(histories, 8, &pruned_topk, &nprobes);
+      ASSERT_EQ(exact_topk.size(), pruned_topk.size()) << tag;
+      for (std::size_t b = 0; b < exact_topk.size(); ++b) {
+        ASSERT_EQ(exact_topk[b].size(), pruned_topk[b].size()) << tag;
+        for (std::size_t i = 0; i < exact_topk[b].size(); ++i) {
+          EXPECT_EQ(exact_topk[b][i].id, pruned_topk[b][i].id)
+              << tag << " row " << b << " pos " << i;
+          EXPECT_EQ(exact_topk[b][i].score, pruned_topk[b][i].score)
+              << tag << " row " << b << " pos " << i;
+        }
+      }
+      // Full probe scans every row; the analytic byte accounting differs
+      // from the exact blob accounting only by the centroid-table overhead.
+      EXPECT_EQ(pruned.scanned_rows, pruned.catalog_rows) << tag;
+      EXPECT_EQ(pruned.ranked_rows, static_cast<std::uint64_t>(4)) << tag;
+      EXPECT_GT(pruned.scanned_bytes, 0u) << tag;
+    }
   }
 }
 
@@ -500,6 +387,23 @@ TEST_F(CatalogIndexFileTest, PrunedDrainReportsPrunedFraction) {
   ASSERT_EQ(full.top_ids.size(), exact.top_ids.size());
   EXPECT_EQ(full.top_ids, exact.top_ids);
   EXPECT_EQ(full.top_scores, exact.top_scores);
+
+  // The same drain at nprobe 1 < 4 < clusters scans strictly more catalog
+  // rows and bytes each step, and the full probe scans every row.
+  std::uint64_t last_rows = 0;
+  std::uint64_t last_bytes = 0;
+  for (const Index nprobe : {Index{1}, Index{4}, Index{8}}) {
+    config.nprobe = nprobe;
+    AsyncServer sweep(model, tflite_profile(), config);
+    const ServingReport r = sweep.serve_sessions(events, 5);
+    EXPECT_GT(r.scanned_rows, last_rows) << "nprobe " << nprobe;
+    EXPECT_GT(r.scanned_bytes, last_bytes) << "nprobe " << nprobe;
+    last_rows = r.scanned_rows;
+    last_bytes = r.scanned_bytes;
+    if (nprobe == 8) {
+      EXPECT_EQ(r.scanned_rows, r.catalog_rows);
+    }
+  }
 }
 
 // --- Hardening: every defect decodes kStale and serves exact ----------------

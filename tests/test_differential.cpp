@@ -556,10 +556,11 @@ TEST_P(DifferentialTest, SessionTopKInvariantAcrossKernelsAndShards) {
 // must reproduce the exact full-catalog top-k BIT-IDENTICALLY — per
 // technique, per dtype, per kernel family, per shard count. The exact leg
 // (nprobe=0) of each shape is the reference; the full-probe leg (nprobe ==
-// num_clusters) rides the same serving path through PrunedCatalogScorer and
-// must not perturb a single id. Any divergence means the index permutation
-// dropped/duplicated an item or the pruned per-column replay broke the
-// dot-product bit-identity contract.
+// num_clusters) rides the same serving path, its rows gathering their
+// probed columns off run_batch's shared output sweep, and must not perturb
+// a single id. Any divergence means the index permutation dropped or
+// duplicated an item, or a gathered column's sum broke bit-identity with
+// the exact row's logit.
 TEST_P(DifferentialTest, PrunedFullProbeMatchesExactScanEverywhere) {
   const TechniqueKind kind = GetParam();
   constexpr Index kClusters = 5;

@@ -2,7 +2,8 @@
 //   * steady-state run() performs NO string-keyed tensor lookups (the
 //     execution plan resolves every handle at construction);
 //   * steady-state run_view() performs NO heap allocations (scratch arena),
-//     and neither does a ranked exact run_batch() into a reused topk_out;
+//     and neither does a ranked run_batch() — exact or pruned rows — into
+//     a reused topk_out;
 //   * run_batch() is bit-identical to sequential run() for every technique;
 //   * the memory meter's resident-byte accounting is unchanged by the fast
 //     path (batched and sequential runs meter the same pages).
@@ -169,17 +170,23 @@ TEST_F(FastPathTest, SteadyStateRunViewIsAllocationFree) {
 
 // The session path's ranked call: exact rows rank tile by tile into the
 // caller's reused topk_out rows, so once warm it allocates nothing — at B=1
-// and B=8, over a ragged last tile, and when the two sizes alternate on one reused topk_out (as paced
-// B=1 batches and saturated B=8 batches do on a serving worker).
+// and B=8, over a ragged last tile, and when the two sizes alternate on one
+// reused topk_out (as paced B=1 batches and saturated B=8 batches do on a
+// serving worker). Pruned rows probe into a context-owned heap and gather
+// into reused arenas, so a batch mixing exact and pruned rows, repeated on
+// the same histories, allocates nothing either.
 TEST_F(FastPathTest, SteadyStateRankedRunBatchIsAllocationFree) {
   ModelConfig config =
       small_config(TechniqueKind::kMemcom, ModelArch::kRanking);
   config.output_vocab = 2 * ExecutionContext::kDenseTile + 13;
   RecModel model(config);
   const std::string path = temp_path("ranked_allocs");
-  model.export_mcm(path, DType::kI4G, "ranked", 1, 32);
+  model.export_mcm(path, DType::kI4G, "ranked", 1, 32, /*emit_plan=*/false,
+                   /*emit_index=*/true, /*index_clusters=*/8);
   auto compiled = std::make_shared<const CompiledModel>(
       std::make_shared<const MmapModel>(path));
+  ASSERT_TRUE(compiled->has_catalog_index())
+      << compiled->index_fallback_reason();
   ExecutionContext context(compiled, tflite_profile());
   const auto pool = sample_histories();
   const auto histories_of = [&](std::size_t batch) {
@@ -191,29 +198,41 @@ TEST_F(FastPathTest, SteadyStateRankedRunBatchIsAllocationFree) {
   };
   const auto one = histories_of(1);
   const auto eight = histories_of(8);
-  using Sequence = std::vector<const std::vector<std::vector<std::int32_t>>*>;
-  const std::pair<const char*, Sequence> cases[] = {
-      {"B=1", {&one, &one, &one}},
-      {"B=8", {&eight, &eight, &eight}},
-      {"B=8,1,8", {&eight, &one, &eight, &one}},
+  // Every other row pruned, at partial and full probes.
+  const std::vector<Index> mixed = {0, 2, 0, 8, 0, 1, 0, 4};
+  struct Call {
+    const std::vector<std::vector<std::int32_t>>* histories;
+    const std::vector<Index>* nprobes;
+  };
+  const std::pair<const char*, std::vector<Call>> cases[] = {
+      {"B=1", {{&one, nullptr}, {&one, nullptr}, {&one, nullptr}}},
+      {"B=8", {{&eight, nullptr}, {&eight, nullptr}, {&eight, nullptr}}},
+      {"B=8,1,8",
+       {{&eight, nullptr}, {&one, nullptr}, {&eight, nullptr},
+        {&one, nullptr}}},
+      {"B=8 mixed", {{&eight, &mixed}, {&eight, &mixed}}},
   };
   for (const auto& [label, sequence] : cases) {
     std::vector<std::vector<ScoredId>> topk;
-    for (const auto* histories : sequence) {
-      context.run_batch(*histories, 10, &topk);
+    for (const Call& call : sequence) {
+      context.run_batch(*call.histories, 10, &topk, call.nprobes);
     }
-    for (const auto* histories : sequence) {
+    for (const Call& call : sequence) {
       g_alloc_count.store(0, std::memory_order_relaxed);
       g_count_allocs.store(true, std::memory_order_relaxed);
-      context.run_batch(*histories, 10, &topk);
+      const BatchResult result =
+          context.run_batch(*call.histories, 10, &topk, call.nprobes);
       g_count_allocs.store(false, std::memory_order_relaxed);
-      const std::size_t batch = histories->size();
+      const std::size_t batch = call.histories->size();
       EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
           << label << " at B=" << batch;
+      if (call.nprobes != nullptr) {
+        EXPECT_LT(result.scanned_rows, result.catalog_rows) << label;
+      }
       // The reused rows hold this call's ranking, not a blend with an
       // earlier call's.
       std::vector<std::vector<ScoredId>> fresh;
-      context.run_batch(*histories, 10, &fresh);
+      context.run_batch(*call.histories, 10, &fresh, call.nprobes);
       ASSERT_EQ(fresh.size(), batch);
       ASSERT_GE(topk.size(), batch);
       for (std::size_t b = 0; b < batch; ++b) {

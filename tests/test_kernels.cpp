@@ -116,7 +116,6 @@ TEST(KernelDispatch, ScalarSetIsComplete) {
   EXPECT_NE(k.acc_mult_add, nullptr);
   EXPECT_NE(k.axpy, nullptr);
   EXPECT_NE(k.dot, nullptr);
-  EXPECT_NE(k.dot_span, nullptr);
   EXPECT_NE(k.first_ge, nullptr);
 }
 
@@ -255,7 +254,7 @@ TEST(KernelBitIdentity, FirstGeMatchesScalarAtEveryOffset) {
   }
 }
 
-// --- dot kernels: striped contract, bit-identical across families ----------
+// --- dot kernel: striped contract, bit-identical across families -----------
 
 TEST(KernelBitIdentity, DotMatchesScalarExactly) {
   ScopedEnv disable("MEMCOM_DISABLE_SIMD", nullptr);
@@ -278,76 +277,6 @@ TEST(KernelBitIdentity, DotMatchesScalarExactly) {
     const float rs = ref.dot(a.data(), b.data(), n);
     const float vs = simd.dot(a.data(), b.data(), n);
     EXPECT_TRUE(bits_equal(&rs, &vs, 1)) << "dot signed-zero n=" << n;
-  }
-}
-
-TEST(KernelBitIdentity, DotSpanMatchesScalarForEveryDtypeAndOffset) {
-  ScopedEnv disable("MEMCOM_DISABLE_SIMD", nullptr);
-  const KernelSet& simd = select_kernels();
-  const KernelSet& ref = scalar_kernels();
-  Rng rng(605);
-  const Tensor t = Tensor::randn({100}, rng, 0.3f);
-  const std::vector<float> vec = random_vec(100, rng);
-  struct Case {
-    DType dtype;
-    Index group_size;
-  };
-  for (const Case c : {Case{DType::kF32, 0}, Case{DType::kF16, 0},
-                       Case{DType::kI8, 0}, Case{DType::kI4, 0},
-                       Case{DType::kI4G, 8}, Case{DType::kI4G, 32}}) {
-    const QuantizedTensor q = quantize(t, c.dtype, c.group_size);
-    const SpanSrc src = make_src(q);
-    const Index n = q.numel();
-    for (Index offset = 0; offset < n; offset += 3) {
-      for (const Index count : {Index{1}, Index{2}, Index{7}, Index{8},
-                                Index{17}, n - offset}) {
-        if (count <= 0 || offset + count > n) {
-          continue;
-        }
-        const float rs = ref.dot_span(src, offset, count, vec.data());
-        const float vs = simd.dot_span(src, offset, count, vec.data());
-        EXPECT_TRUE(bits_equal(&rs, &vs, 1))
-            << dtype_name(c.dtype) << "/" << c.group_size
-            << " offset=" << offset << " count=" << count;
-        // Striped-contract consistency: streaming the compressed row must
-        // give the exact float the plain dot produces on the dequantized
-        // row — the chunking (kDotChunk multiple of 8) may not shift lanes.
-        std::vector<float> dq(static_cast<std::size_t>(count));
-        ref.dequant_span(src, offset, count, dq.data());
-        const float plain = ref.dot(dq.data(), vec.data(), count);
-        EXPECT_TRUE(bits_equal(&rs, &plain, 1))
-            << dtype_name(c.dtype) << "/" << c.group_size
-            << " offset=" << offset << " count=" << count;
-      }
-    }
-  }
-}
-
-TEST(KernelBitIdentity, DotSpanCrossesChunkBoundaryBitExactly) {
-  // Span longer than the 256-float streaming chunk: the second chunk starts
-  // at element 256 (lane 0 again), so lanes stay aligned across the seam.
-  ScopedEnv disable("MEMCOM_DISABLE_SIMD", nullptr);
-  const KernelSet& simd = select_kernels();
-  const KernelSet& ref = scalar_kernels();
-  Rng rng(606);
-  const Index n = 600;
-  const Tensor t = Tensor::randn({n}, rng, 0.3f);
-  const std::vector<float> vec = random_vec(n, rng);
-  for (const DType dtype : {DType::kF32, DType::kF16, DType::kI8}) {
-    const QuantizedTensor q = quantize(t, dtype);
-    const SpanSrc src = make_src(q);
-    for (const Index offset : {Index{0}, Index{5}}) {
-      const Index count = n - offset - 3;
-      const float rs = ref.dot_span(src, offset, count, vec.data());
-      const float vs = simd.dot_span(src, offset, count, vec.data());
-      EXPECT_TRUE(bits_equal(&rs, &vs, 1))
-          << dtype_name(dtype) << " offset=" << offset;
-      std::vector<float> dq(static_cast<std::size_t>(count));
-      ref.dequant_span(src, offset, count, dq.data());
-      const float plain = ref.dot(dq.data(), vec.data(), count);
-      EXPECT_TRUE(bits_equal(&rs, &plain, 1))
-          << dtype_name(dtype) << " offset=" << offset;
-    }
   }
 }
 

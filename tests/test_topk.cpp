@@ -6,10 +6,7 @@
 //     signed-zero score vectors;
 //   * topk_offer_span's threshold filter changes nothing: offered whole or
 //     in 1024-wide pieces (with first_id, in either order), under either
-//     kernel family, it keeps exactly the full sort's top-k;
-//   * CatalogScorer produces the same ids/scores whether the catalog scan
-//     runs through the scalar or the dispatched kernel family, for every
-//     catalog dtype.
+//     kernel family, it keeps exactly the full sort's top-k.
 #include "ondevice/topk.h"
 
 #include <gtest/gtest.h>
@@ -210,101 +207,6 @@ TEST(TopkOfferSpan, FilteredOfferMatchesFullSortInAnyPieces) {
         }
       }
     }
-  }
-}
-
-// --- CatalogScorer ---------------------------------------------------------
-
-QuantizedTensor make_catalog(Index items, Index dim, DType dtype,
-                             Index group_size, Rng& rng) {
-  const Tensor t = Tensor::randn({items, dim}, rng, 0.4f);
-  return quantize(t, dtype, group_size);
-}
-
-TEST(CatalogScorer, ScoreAllMatchesDotSpanReference) {
-  Rng rng(703);
-  const Index items = 40;
-  const Index dim = 24;
-  const QuantizedTensor q = make_catalog(items, dim, DType::kI8, 0, rng);
-  const KernelSet& ref = scalar_kernels();
-  const CatalogScorer scorer(q, ref);
-  EXPECT_EQ(scorer.items(), items);
-  EXPECT_EQ(scorer.dim(), dim);
-  EXPECT_EQ(scorer.resident_bytes(), q.payload.size());
-
-  std::vector<float> query(static_cast<std::size_t>(dim));
-  for (float& x : query) {
-    x = rng.uniform(-1.0f, 1.0f);
-  }
-  std::vector<float> out(static_cast<std::size_t>(items), -99.0f);
-  scorer.score_all(query.data(), out.data());
-  const SpanSrc src = make_span_src(q);
-  for (Index i = 0; i < items; ++i) {
-    const float want = ref.dot_span(src, i * dim, dim, query.data());
-    EXPECT_EQ(std::memcmp(&out[static_cast<std::size_t>(i)], &want,
-                          sizeof(float)),
-              0)
-        << "row " << i;
-  }
-}
-
-TEST(CatalogScorer, TopKMatchesScoreAllPlusFullSort) {
-  Rng rng(704);
-  const QuantizedTensor q = make_catalog(64, 16, DType::kI4G, 8, rng);
-  const CatalogScorer scorer(q, scalar_kernels());
-  std::vector<float> query(16);
-  for (float& x : query) {
-    x = rng.uniform(-1.0f, 1.0f);
-  }
-  std::vector<float> all(64);
-  scorer.score_all(query.data(), all.data());
-  for (const Index k : {Index{1}, Index{5}, Index{64}, Index{100}}) {
-    expect_same_ranking(scorer.top_k(query.data(), k),
-                        topk_full_sort(all.data(), 64, k), "catalog");
-  }
-}
-
-TEST(CatalogScorer, ScalarAndDispatchedFamiliesAgreeForEveryDtype) {
-  ScopedEnv disable("MEMCOM_DISABLE_SIMD", nullptr);
-  ScopedEnv fma("MEMCOM_ENABLE_FMA", nullptr);
-  const KernelSet& simd = select_kernels();
-  const KernelSet& ref = scalar_kernels();
-  Rng rng(705);
-  struct Case {
-    DType dtype;
-    Index group_size;
-  };
-  for (const Case c : {Case{DType::kF32, 0}, Case{DType::kF16, 0},
-                       Case{DType::kI8, 0}, Case{DType::kI4, 0},
-                       Case{DType::kI4G, 8}, Case{DType::kI4G, 32}}) {
-    const QuantizedTensor q = make_catalog(50, 32, c.dtype, c.group_size, rng);
-    const CatalogScorer a(q, ref);
-    const CatalogScorer b(q, simd);
-    std::vector<float> query(32);
-    for (float& x : query) {
-      x = rng.uniform(-1.0f, 1.0f);
-    }
-    expect_same_ranking(a.top_k(query.data(), 10), b.top_k(query.data(), 10),
-                        dtype_name(c.dtype));
-  }
-}
-
-TEST(CatalogScorer, QuantizedTiesStillRankById) {
-  // A constant catalog makes every item score identical — exactly the
-  // degenerate case heavy quantization produces. Ids must come back
-  // 0, 1, 2, ... on every family.
-  Rng rng(706);
-  Tensor t({20, 8});
-  for (Index i = 0; i < t.numel(); ++i) {
-    t.data()[i] = 0.5f;
-  }
-  const QuantizedTensor q = quantize(t, DType::kI4);
-  const CatalogScorer scorer(q, scalar_kernels());
-  std::vector<float> query(8, 1.0f);
-  const std::vector<ScoredId> top = scorer.top_k(query.data(), 6);
-  ASSERT_EQ(top.size(), 6u);
-  for (std::size_t i = 0; i < top.size(); ++i) {
-    EXPECT_EQ(top[i].id, static_cast<Index>(i));
   }
 }
 
