@@ -56,7 +56,8 @@ void ExecutionContext::resize_scratch() {
   row2_.resize(static_cast<std::size_t>(e), 0.0f);
   hidden_.resize(static_cast<std::size_t>(plan.hidden_dim()), 0.0f);
   logits_.resize(static_cast<std::size_t>(plan.output_dim()), 0.0f);
-  tile_.resize(static_cast<std::size_t>(kDenseTile), 0.0f);
+  own_.tile.resize(static_cast<std::size_t>(kDenseTile), 0.0f);
+  lent_.tile.resize(static_cast<std::size_t>(kDenseTile), 0.0f);
   onehot_.resize(plan.uses_onehot_path()
                      ? static_cast<std::size_t>(plan.hash_size())
                      : 0,
@@ -341,33 +342,48 @@ void ExecutionContext::apply_batchnorm(const BatchNormPlan& bn, float* x) {
   ++op_count_;
 }
 
-void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
-                                        const float* xs, float* const* ys,
-                                        std::vector<ScoredId>* const* heaps,
-                                        Index top_k, GatherRow* gathers,
-                                        std::size_t ngathers) {
+Index ExecutionContext::half_split(Index out) {
+  const Index tiles = (out + kDenseTile - 1) / kDenseTile;
+  return tiles < kMinSplitTiles ? out : (tiles + 1) / 2 * kDenseTile;
+}
+
+void ExecutionContext::prepare_part(const DenseSweep& sweep,
+                                    SweepScratch& scratch) {
+  if (sweep.ys == nullptr) {
+    scratch.row_tiles.resize(static_cast<std::size_t>(sweep.rows * kDenseTile));
+  }
+  scratch.gathers.assign(sweep.gathers, sweep.gathers + sweep.ngathers);
+}
+
+void ExecutionContext::apply_dense_rows(const DenseSweep& sweep, Index c_begin,
+                                        Index c_end,
+                                        SweepScratch& scratch) const {
+  const DensePlan& dense = *sweep.dense;
   const Index in = dense.in;
   const Index out = dense.out;
-  // One full-range touch per sweep covers the same pages as streaming every
-  // row; the meter is a page set, so the row count does not matter.
-  touch(dense.weight, 0, in * out);
-  touch(dense.bias_ref, 0, out);
+  const Index rows = sweep.rows;
+  const float* xs = sweep.xs;
+  float* const* ys = sweep.ys;
   const KernelSet& ker = compiled_->kernels();
   const float* f32 = dense.weight.f32;
-  // A gathered column mirrors the family's axpy: the fused MAC when the
-  // family's axpy is the opt-in FMA ("fma" in the kernel-set name).
-  const bool fused = ngathers > 0 && std::strstr(ker.name, "fma") != nullptr;
-  float* tile = tile_.data();
+  // A gathered column mirrors the family's axpy: fused when it is.
+  const bool fused = ker.fused;
+  float* tile = scratch.tile.data();
+  GatherRow* gathers = scratch.gathers.data();
+  const std::size_t ngathers = scratch.gathers.size();
+  for (std::size_t g = 0; g < ngathers; ++g) {
+    GatherRow& row = gathers[g];
+    row.hi = static_cast<std::size_t>(
+        std::lower_bound(row.cols, row.cols + row.count, c_begin) - row.cols);
+  }
   // Plain rows accumulate in place in their output rows; ranked rows in the
   // row-tile arena, ranked before the next tile overwrites it.
-  if (ys == nullptr) {
-    row_tiles_.resize(static_cast<std::size_t>(rows * kDenseTile));
-  }
-  for (std::size_t g = 0; g < ngathers; ++g) {
-    gathers[g].lo = gathers[g].hi = 0;
-  }
-  for (Index c0 = 0; c0 < out; c0 += kDenseTile) {
-    const Index width = std::min(kDenseTile, out - c0);
+  const auto acc = [&](Index r, Index c0) {
+    return ys != nullptr ? ys[r] + c0
+                         : scratch.row_tiles.data() + r * kDenseTile;
+  };
+  for (Index c0 = c_begin; c0 < c_end; c0 += kDenseTile) {
+    const Index width = std::min(kDenseTile, c_end - c0);
     bool gathered = false;
     for (std::size_t g = 0; g < ngathers; ++g) {
       GatherRow& row = gathers[g];
@@ -380,11 +396,8 @@ void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
     if (rows == 0 && !gathered) {
       continue;
     }
-    const auto acc = [&](Index r) {
-      return ys != nullptr ? ys[r] + c0 : row_tiles_.data() + r * kDenseTile;
-    };
     for (Index r = 0; r < rows; ++r) {
-      std::fill(acc(r), acc(r) + width, 0.0f);
+      std::fill(acc(r, c0), acc(r, c0) + width, 0.0f);
     }
     for (Index k = 0; k < in; ++k) {
       const float* w = tile;
@@ -394,7 +407,7 @@ void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
         // (zero rows contribute ±0 and leave y unchanged).
         w = f32 + k * out + c0;
         for (Index r = 0; r < rows; ++r) {
-          ker.axpy(acc(r), xs[r * in + k], w, width);
+          ker.axpy(acc(r, c0), xs[r * in + k], w, width);
         }
       } else {
         // Every weight tile is decoded regardless of activation sparsity —
@@ -403,7 +416,7 @@ void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
         for (Index r = 0; r < rows; ++r) {
           const float xv = xs[r * in + k];
           if (xv != 0.0f) {
-            ker.axpy(acc(r), xv, tile, width);
+            ker.axpy(acc(r, c0), xv, tile, width);
           }
         }
       }
@@ -423,13 +436,84 @@ void ExecutionContext::apply_dense_rows(const DensePlan& dense, Index rows,
       }
     }
     for (Index r = 0; r < rows; ++r) {
-      ker.acc_add(acc(r), dense.bias.data() + c0, width);
+      ker.acc_add(acc(r, c0), dense.bias.data() + c0, width);
       if (ys == nullptr) {
-        topk_offer_span(*heaps[r], top_k, acc(r), c0, width, ker);
+        topk_offer_span(*scratch.heaps[static_cast<std::size_t>(r)],
+                        sweep.top_k, acc(r, c0), c0, width, ker);
       }
     }
   }
-  op_count_ += rows;
+}
+
+bool ExecutionContext::run_sweep(const DenseSweep& sweep,
+                                 SweepHelper* helper) {
+  const DensePlan& dense = *sweep.dense;
+  const Index out = dense.out;
+  // One full-range touch per sweep covers the same pages as streaming every
+  // row; the meter is a page set, so the row count and the split do not
+  // matter. A helper touches no meter.
+  touch(dense.weight, 0, dense.in * out);
+  touch(dense.bias_ref, 0, out);
+  op_count_ += sweep.rows;
+  prepare_part(sweep, own_);
+  const Index split = helper != nullptr ? helper->split_column(out) : out;
+  if (split >= out) {
+    apply_dense_rows(sweep, 0, out, own_);
+    return false;
+  }
+  // The lent part gets its own scratch and, for ranked rows, its own heaps,
+  // all sized here so its claimant allocates nothing.
+  prepare_part(sweep, lent_);
+  if (sweep.ys == nullptr) {
+    const std::size_t rows = static_cast<std::size_t>(sweep.rows);
+    if (lent_heaps_.size() < rows) {
+      lent_heaps_.resize(rows);
+    }
+    lent_.heaps.clear();
+    for (std::size_t r = 0; r < rows; ++r) {
+      lent_heaps_[r].clear();
+      lent_heaps_[r].reserve(static_cast<std::size_t>(sweep.top_k));
+      lent_.heaps.push_back(&lent_heaps_[r]);
+    }
+  }
+  SweepPart part(this, &sweep, split);
+  if (!helper->post(&part)) {
+    apply_dense_rows(sweep, 0, out, own_);
+    return false;
+  }
+  apply_dense_rows(sweep, 0, split, own_);
+  if (helper->withdraw(&part)) {
+    // Nobody claimed it: sweep it here, into the owner's own heaps.
+    apply_dense_rows(sweep, split, out, own_);
+    return false;
+  }
+  part.wait();
+  if (sweep.ys == nullptr) {
+    for (std::size_t r = 0; r < lent_.heaps.size(); ++r) {
+      for (const ScoredId& s : *lent_.heaps[r]) {
+        topk_offer(*own_.heaps[r], sweep.top_k, s);
+      }
+    }
+  }
+  return true;
+}
+
+void SweepPart::run() {
+  owner_->apply_dense_rows(*sweep_, c_begin_, sweep_->dense->out,
+                           owner_->lent_);
+  done_.store(true, std::memory_order_release);
+}
+
+void SweepPart::wait() const {
+  // The claimant sweeps about as many tiles as the owner just did, so the
+  // wait is short: spin. (A yield would hand the CPU to any idle-priority
+  // thread for a whole scheduler slice.) Spinning also means run() never
+  // has to touch the part after marking it done.
+  while (!done_.load(std::memory_order_acquire)) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
 }
 
 void ExecutionContext::embed_stage(const std::int32_t* ids, Index length) {
@@ -584,7 +668,7 @@ BatchResult ExecutionContext::run_batch(
 BatchResult ExecutionContext::run_batch(
     const std::vector<std::vector<std::int32_t>>& histories, Index top_k,
     std::vector<std::vector<ScoredId>>* topk_out,
-    const std::vector<Index>* nprobes) {
+    const std::vector<Index>* nprobes, SweepHelper* helper) {
   const RowCacheStats before = row_cache_stats();
   BatchResult result;
   result.batch = static_cast<Index>(histories.size());
@@ -621,7 +705,7 @@ BatchResult ExecutionContext::run_batch(
     pruned_cols_.resize(histories.size());
   }
   exact_logits_.clear();
-  exact_heaps_.clear();
+  own_.heaps.clear();
   pruned_rows_.clear();
   Index exact_rows = 0;
   for (Index b = 0; b < result.batch; ++b) {
@@ -645,7 +729,7 @@ BatchResult ExecutionContext::run_batch(
       std::copy(trunk, trunk + in, trunks_.data() + exact_rows * in);
       ++exact_rows;
       if (heap != nullptr) {
-        exact_heaps_.push_back(heap);
+        own_.heaps.push_back(heap);
       } else {
         exact_logits_.push_back(&result.logits.at2(b, 0));
       }
@@ -673,10 +757,15 @@ BatchResult ExecutionContext::run_batch(
     gathered += cols.size();
   }
   if (exact_rows > 0 || !gathers_.empty()) {
-    apply_dense_rows(plan.out(), exact_rows, trunks_.data(),
-                     top_k > 0 ? nullptr : exact_logits_.data(),
-                     exact_heaps_.data(), kept, gathers_.data(),
-                     gathers_.size());
+    DenseSweep output;
+    output.dense = &plan.out();
+    output.rows = exact_rows;
+    output.xs = trunks_.data();
+    output.ys = top_k > 0 ? nullptr : exact_logits_.data();
+    output.top_k = kept;
+    output.gathers = gathers_.data();
+    output.ngathers = gathers_.size();
+    result.split = run_sweep(output, helper);
   }
   // Phase 3: pruned rows add their bias and rank their probed columns; every
   // ranked row sorts its heap best-first.

@@ -18,6 +18,7 @@
 // tests/test_differential.cpp enforce both).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -66,6 +67,33 @@ struct BatchResult {
   std::uint64_t catalog_rows = 0;   // ranked_rows * catalog items
   std::uint64_t scanned_rows = 0;   // catalog items actually scored
   std::uint64_t scanned_bytes = 0;  // analytic compressed bytes read
+  // True when another thread swept the upper part of this batch's output
+  // sweep (see SweepHelper).
+  bool split = false;
+};
+
+class SweepPart;
+
+// Lends the upper part of run_batch's output sweep to another thread. The
+// owner asks where to split, posts the part, sweeps the lower tiles, then
+// withdraws the part: if no thread claimed it, the owner sweeps it too; if
+// one did, the owner waits for it and merges the two top-k lists. Either
+// way every score keeps its bits: a logit's sum runs over k only, and the
+// top-k of a union is the top-k of the parts' top-k lists.
+class SweepHelper {
+ public:
+  SweepHelper() = default;
+  SweepHelper(const SweepHelper&) = delete;
+  SweepHelper& operator=(const SweepHelper&) = delete;
+  virtual ~SweepHelper() = default;
+  // Where a sweep of `out` columns splits: a multiple of
+  // ExecutionContext::kDenseTile below `out` lends the columns from there
+  // on; `out` keeps the sweep whole.
+  virtual Index split_column(Index out) = 0;
+  // Makes `part` claimable by another thread; false when it cannot.
+  virtual bool post(SweepPart* part) = 0;
+  // Takes `part` back: true when no thread had claimed it.
+  virtual bool withdraw(SweepPart* part) = 0;
 };
 
 class ExecutionContext {
@@ -73,6 +101,13 @@ class ExecutionContext {
   // Output columns per dense sweep tile: 4 KB of floats, so the decoded
   // tile plus a micro-batch's row tiles stay L1-resident across all k.
   static constexpr Index kDenseTile = 1024;
+  // Fewest tiles a sweep spans before it is worth lending half of it: a
+  // helper's wake-up costs about as much as a few B = 1 tiles.
+  static constexpr Index kMinSplitTiles = 8;
+  // The split a serving helper asks for: the owner keeps the first half of
+  // the tiles, rounded up, and lends the rest; `out` (whole) below
+  // kMinSplitTiles tiles.
+  static Index half_split(Index out);
 
   ExecutionContext(std::shared_ptr<const CompiledModel> compiled,
                    DeviceProfile profile);
@@ -126,10 +161,16 @@ class ExecutionContext {
   // scan. A pruned row's answer is its ranked list only, like an exact
   // ranked row's; once warm on the same histories it allocates nothing
   // either.
+  //
+  // `helper` (optional) may lend the upper tiles of the output sweep to
+  // another thread (see SweepHelper). The answer does not change, and a
+  // thread that runs the lent part allocates nothing once this context is
+  // warm: the part's scratch and heaps belong to this context.
   BatchResult run_batch(const std::vector<std::vector<std::int32_t>>& histories,
                         Index top_k,
                         std::vector<std::vector<ScoredId>>* topk_out,
-                        const std::vector<Index>* nprobes = nullptr);
+                        const std::vector<Index>* nprobes = nullptr,
+                        SweepHelper* helper = nullptr);
 
   const MemoryMeter& meter() const { return meter_; }
   void reset_meter() { meter_.reset(); }
@@ -144,6 +185,7 @@ class ExecutionContext {
   RowCacheStats row_cache_stats() const;
 
  private:
+  friend class SweepPart;  // runs apply_dense_rows into lent_
   void resize_scratch();
   bool attach_row_cache();
 
@@ -172,7 +214,7 @@ class ExecutionContext {
   const float* trunk_stage();
   // A pruned row's share of the output sweep: its trunk `x`, its probed
   // catalog columns (ascending) and one accumulator per column. [lo, hi)
-  // is the sweep's cursor: the row's columns in the current tile.
+  // is a sweep part's cursor: the row's columns in the current tile.
   struct GatherRow {
     const float* x = nullptr;
     const Index* cols = nullptr;
@@ -196,35 +238,67 @@ class ExecutionContext {
   void embed_onehot_pooled(const std::int32_t* ids, Index length);
 
   void apply_batchnorm(const BatchNormPlan& bn, float* x);
-  // ys[r][out] = xs[r*in .. r*in+in) * W[in,out] + b[out] for r < rows.
+  // One output sweep's operands: ys[r][out] = xs[r*in .. r*in+in) * W[in,out]
+  // + b[out] for r < rows. With `ys` null the rows are RANKED into heaps at
+  // `top_k` (> 0); gather rows score only their own columns.
+  struct DenseSweep {
+    const DensePlan* dense = nullptr;
+    Index rows = 0;
+    const float* xs = nullptr;
+    float* const* ys = nullptr;
+    Index top_k = 0;
+    const GatherRow* gathers = nullptr;
+    std::size_t ngathers = 0;
+  };
+  // What one thread writes while it sweeps a column range, besides the
+  // outputs: the decoded weight tile, the ranked rows' accumulator tiles,
+  // where each ranked row ranks, and the gather rows' cursors.
+  struct SweepScratch {
+    std::vector<float> tile;       // kDenseTile
+    std::vector<float> row_tiles;  // [rows, kDenseTile], ranked sweeps
+    std::vector<std::vector<ScoredId>*> heaps;
+    std::vector<GatherRow> gathers;
+  };
+  // Sizes `scratch` for `sweep`: the row tiles, and a copy of the gather
+  // views whose cursors the part moves.
+  static void prepare_part(const DenseSweep& sweep, SweepScratch& scratch);
+  // Columns [c_begin, c_end) of `sweep`; c_begin is a multiple of kDenseTile.
   //
-  // One column-tiled sweep serves every row: each kDenseTile-wide segment
-  // of weight row k is decoded once into tile_ and axpy'd into every row's
-  // tile, then the bias lands with acc_add. Per output element that is
-  // exactly the single-row order — zero, then x[k]*w[k,j] in increasing k
-  // (quantized weights skip x[k] == 0, f32 weights MAC every k straight
-  // from the mapping), then + b[j] — so a row's result does not depend on
-  // `rows`, the tile width, or which other rows share the sweep.
+  // Each kDenseTile-wide segment of weight row k is decoded once into the
+  // scratch tile and axpy'd into every row's tile, then the bias lands with
+  // acc_add. Per output element that is exactly the single-row order —
+  // zero, then x[k]*w[k,j] in increasing k (quantized weights skip
+  // x[k] == 0, f32 weights MAC every k straight from the mapping), then
+  // + b[j] — so a row's result does not depend on `rows`, the tile width,
+  // the range bounds, or which other rows share the sweep.
   //
-  // With `ys` null the rows are RANKED: row r accumulates in the row-tile
-  // arena, and each finished tile (bias added) is offered to *heaps[r] at
-  // `top_k` (> 0) with ids c0.. — topk_offer_span's filter skips every
-  // score below the heap's worst. The heap's content does not depend on
-  // offer order, so it equals topk_select over the full logits row.
+  // Ranked rows accumulate in the scratch row tiles, and each finished tile
+  // (bias added) is offered to the row's heap through topk_offer_span,
+  // whose filter skips every score below the heap's worst. The heap's
+  // content does not depend on offer order, so it equals topk_select over
+  // the range's logits.
   //
   // Gather rows ride the same sweep: for each of its columns in the tile a
   // gather row adds x[k]*w[k,j] off the decoded segment under the same
   // rules (a fused MAC when the family's axpy is fused), so each gathered
-  // sum equals the exact row's before its bias. The weight is then
-  // streamed in tile order once per batch, not walked one strided element
-  // per weight row per column.
-  void apply_dense_rows(const DensePlan& dense, Index rows, const float* xs,
-                        float* const* ys,
-                        std::vector<ScoredId>* const* heaps = nullptr,
-                        Index top_k = 0, GatherRow* gathers = nullptr,
-                        std::size_t ngathers = 0);
+  // sum equals the exact row's before its bias.
+  //
+  // Touches no meter and no context state but `scratch`: two threads may
+  // sweep disjoint ranges of one sweep with two scratch sets.
+  void apply_dense_rows(const DenseSweep& sweep, Index c_begin, Index c_end,
+                        SweepScratch& scratch) const;
+  // The whole sweep: meters the weight and bias once, sweeps every column
+  // (lending the upper tiles through `helper` when it asks for a split),
+  // merges a lent part's heaps. Returns true when another thread swept the
+  // lent part.
+  bool run_sweep(const DenseSweep& sweep, SweepHelper* helper);
   void apply_dense(const DensePlan& dense, const float* x, float* y) {
-    apply_dense_rows(dense, 1, x, &y);
+    DenseSweep one;
+    one.dense = &dense;
+    one.rows = 1;
+    one.xs = x;
+    one.ys = &y;
+    run_sweep(one, nullptr);
   }
 
   // Cache partition tags for the plan's embedding tensors.
@@ -246,16 +320,18 @@ class ExecutionContext {
   std::vector<float> row2_;     // second gather / projection scratch
   std::vector<float> hidden_;
   std::vector<float> logits_;
-  std::vector<float> tile_;     // one decoded weight-row tile, kDenseTile
+  // The owner's scratch for every sweep, and the scratch and heaps of a
+  // lent part (SweepPart), which its claimant writes.
+  SweepScratch own_;
+  SweepScratch lent_;
+  std::vector<std::vector<ScoredId>> lent_heaps_;
   // run_batch arenas (capacity kept across calls): the exact rows' trunk
-  // vectors [rows, in], their logits rows in the BatchResult (plain call)
-  // or their heaps in topk_out plus one [rows, kDenseTile] accumulator tile
-  // (ranked call); the pruned rows' trunks, batch indices, probed columns,
-  // accumulators and gather views.
+  // vectors [rows, in] and their logits rows in the BatchResult (plain
+  // call; a ranked call's heaps are topk_out's rows, listed in own_.heaps);
+  // the pruned rows' trunks, batch indices, probed columns, accumulators
+  // and gather views.
   std::vector<float> trunks_;
   std::vector<float*> exact_logits_;
-  std::vector<std::vector<ScoredId>*> exact_heaps_;
-  std::vector<float> row_tiles_;
   std::vector<float> pruned_trunks_;
   std::vector<Index> pruned_rows_;
   std::vector<std::vector<Index>> pruned_cols_;
@@ -264,6 +340,30 @@ class ExecutionContext {
   std::vector<float> onehot_;   // weinberger bag-of-words, size m
   std::vector<float> query_;    // pruned probe query [trunk; 1.0], in+1
   std::vector<ScoredId> probed_;  // a pruned row's probed clusters
+};
+
+// The upper tile range of one batch's output sweep, offered to another
+// thread while its owner sweeps the lower range. It lives on the owner's
+// stack for one sweep; the thread that claims it calls run() once.
+class SweepPart {
+ public:
+  // Sweeps the part into the owner's second scratch set: disjoint columns
+  // of plain rows and gather accumulators, and per-row heaps the owner
+  // merges. Marking the part done is its last access to the owner.
+  void run();
+
+ private:
+  friend class ExecutionContext;
+  SweepPart(ExecutionContext* owner, const ExecutionContext::DenseSweep* sweep,
+            Index c_begin)
+      : owner_(owner), sweep_(sweep), c_begin_(c_begin) {}
+  // Spins until run() has finished.
+  void wait() const;
+
+  ExecutionContext* owner_;
+  const ExecutionContext::DenseSweep* sweep_;
+  Index c_begin_;
+  std::atomic<bool> done_{false};
 };
 
 }  // namespace memcom

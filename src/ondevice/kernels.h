@@ -84,6 +84,9 @@ struct KernelSet {
   // (-0.0 >= +0.0 holds, as float >= says), so every family returns the
   // same index.
   Index (*first_ge)(const float* s, Index n, float t) = nullptr;
+  // True when `axpy` is the fused MAC (one rounding per element): a caller
+  // that mirrors axpy element by element must then fuse too.
+  bool fused = false;
 };
 
 // The scalar reference set (always available).

@@ -105,16 +105,19 @@ class RequestQueue {
   // (`first` is the run's head), at most `max` of them, appending each to
   // `out` and calling `on_pop(item)` on it while the queue lock is still
   // held: a side effect of popping happens in queue order even when several
-  // consumers share the queue. Waits until `deadline` for a first item; a
+  // consumers share the queue. Waits until `deadline` for a first item, or
+  // until `wake()` holds (checked under the lock; see notify_consumers()); a
   // deadline in the past makes this a non-blocking probe. Returns how many
-  // items were popped — 0 on timeout or once closed and drained. Appends
-  // never allocate while `out` has capacity for `max` more items.
-  template <typename TimePoint, typename Same, typename OnPop>
+  // items were popped — 0 on timeout, on a wake with nothing queued, or
+  // once closed and drained. Appends never allocate while `out` has
+  // capacity for `max` more items.
+  template <typename TimePoint, typename Same, typename OnPop, typename Wake>
   std::size_t pop_run_until(std::vector<T>& out, std::size_t max,
-                            TimePoint deadline, Same same, OnPop on_pop) {
+                            TimePoint deadline, Same same, OnPop on_pop,
+                            Wake wake) {
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait_until(lock, deadline,
-                          [&] { return size_ > 0 || closed_; });
+                          [&] { return size_ > 0 || closed_ || wake(); });
     const std::size_t first = out.size();
     while (size_ > 0 && out.size() - first < max &&
            (out.size() == first || same(out[first], ring_[head_]))) {
@@ -131,6 +134,16 @@ class RequestQueue {
       not_full_.notify_all();
     }
     return popped;
+  }
+
+  // Wakes a consumer blocked in pop_run_until to re-check its `wake`
+  // predicate. Call it after making the predicate true: taking the lock
+  // first means a consumer that checked the predicate before the change is
+  // already waiting, so the notify cannot fall between its check and its
+  // wait.
+  void notify_consumers() {
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    not_empty_.notify_one();
   }
 
   void close() {

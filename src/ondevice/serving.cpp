@@ -255,6 +255,8 @@ std::future<AsyncResult> AsyncServer::submit_next_item(std::string model_id,
   request.session_id = session_id;
   request.new_item = new_item;
   request.top_k = k;
+  request.top_ids.reserve(static_cast<std::size_t>(k));
+  request.top_scores.reserve(static_cast<std::size_t>(k));
   request.nprobe = nprobe < 0 ? config_.nprobe : nprobe;
   if (should_shed(shard, request.enqueue_tp, request.deadline_tp)) {
     // Shed BEFORE the append: a rejected interaction must not mutate the
@@ -296,6 +298,40 @@ bool AsyncServer::try_submit(std::string model_id,
   return true;
 }
 
+Index AsyncServer::Shard::split_column(Index out) {
+  return parked.load(std::memory_order_relaxed) > 0
+             ? ExecutionContext::half_split(out)
+             : out;
+}
+
+bool AsyncServer::Shard::post(SweepPart* part) {
+  SweepPart* empty = nullptr;
+  if (!lent.compare_exchange_strong(empty, part, std::memory_order_release,
+                                    std::memory_order_relaxed)) {
+    return false;  // another batch's part holds the slot
+  }
+  queue.notify_consumers();
+  return true;
+}
+
+bool AsyncServer::Shard::withdraw(SweepPart* part) {
+  return lent.compare_exchange_strong(part, nullptr, std::memory_order_relaxed);
+}
+
+bool AsyncServer::Shard::help() {
+  if (lent.load(std::memory_order_relaxed) == nullptr) {
+    return false;
+  }
+  // The exchange is the claim: it races the owner's withdraw, and exactly
+  // one of them takes the part.
+  SweepPart* part = lent.exchange(nullptr, std::memory_order_acquire);
+  if (part == nullptr) {
+    return false;
+  }
+  part->run();
+  return true;
+}
+
 bool AsyncServer::form_batch(std::size_t s, Clock::time_point deadline,
                              WorkerState& state) {
   Shard& shard = *shards_[s];
@@ -316,6 +352,10 @@ bool AsyncServer::form_batch(std::size_t s, Clock::time_point deadline,
           shard.sessions->append_and_snapshot(r.session_id, r.new_item,
                                               r.history);
         }
+      },
+      [&shard] {
+        // A posted sweep part wakes a parked worker, which then helps.
+        return shard.lent.load(std::memory_order_relaxed) != nullptr;
       });
   if (popped == 0) {
     return false;
@@ -334,6 +374,7 @@ void AsyncServer::worker_loop(std::size_t worker) {
   state.batch.requests.reserve(static_cast<std::size_t>(config_.max_batch));
   const std::size_t nshards = shards_.size();
   const std::size_t primary = worker % nshards;
+  Shard& home = *shards_[primary];
   const auto drained = [&] {
     // Closed and empty is terminal: no push can follow a close().
     return std::all_of(shards_.begin(), shards_.end(), [](const auto& shard) {
@@ -347,13 +388,20 @@ void AsyncServer::worker_loop(std::size_t worker) {
       got = form_batch((primary + k) % nshards, Clock::time_point{}, state);
     }
     if (!got) {
+      // Every queue is empty: sweep a part another worker posted, or park
+      // on the primary until a request or a part arrives. The timeout
+      // bounds how stale the next steal scan can get.
+      if (home.help()) {
+        continue;
+      }
       if (drained()) {
         break;
       }
-      // Every queue is empty: park on the primary. The timeout bounds how
-      // stale the next steal scan can get.
-      if (!form_batch(primary, Clock::now() + std::chrono::milliseconds(1),
-                      state)) {
+      home.parked.fetch_add(1, std::memory_order_relaxed);
+      got = form_batch(primary, Clock::now() + std::chrono::milliseconds(1),
+                       state);
+      home.parked.fetch_sub(1, std::memory_order_relaxed);
+      if (!got) {
         continue;
       }
     }
@@ -427,10 +475,15 @@ void AsyncServer::execute_batch(std::size_t worker, WorkerState& state) {
         nprobes.push_back(r.nprobe);
       }
     }
+    // The batch's shard may lend half of its sweep to a worker parked there.
     BatchResult batch =
         context.run_batch(histories, top_k, top_k > 0 ? &ranked : nullptr,
-                          any_pruned ? &nprobes : nullptr);
+                          any_pruned ? &nprobes : nullptr,
+                          shards_[task.shard].get());
     const auto service_end = Clock::now();
+    if (batch.split) {
+      splits_.fetch_add(1, std::memory_order_relaxed);
+    }
     // Derive service_ms from the SAME end timestamp the per-request totals
     // use: a second Clock::now() here could land after a preemption and
     // report service_ms > total_ms for every request in the batch.
@@ -531,12 +584,12 @@ void AsyncServer::execute_batch(std::size_t worker, WorkerState& state) {
         const auto& ids = ranked[i];
         const std::size_t keep = std::min(static_cast<std::size_t>(r.top_k),
                                           ids.size());
-        result.top_ids.reserve(keep);
-        result.top_scores.reserve(keep);
         for (std::size_t j = 0; j < keep; ++j) {
-          result.top_ids.push_back(ids[j].id);
-          result.top_scores.push_back(ids[j].score);
+          r.top_ids.push_back(ids[j].id);
+          r.top_scores.push_back(ids[j].score);
         }
+        result.top_ids = std::move(r.top_ids);
+        result.top_scores = std::move(r.top_scores);
       }
       r.promise.set_value(std::move(result));
     }
@@ -695,6 +748,7 @@ ServingReport AsyncServer::drive(const std::vector<RequestRef>& requests,
   constexpr std::chrono::microseconds kSpinWindow{200};
 
   const std::uint64_t steals_before = steals_.load(std::memory_order_relaxed);
+  const std::uint64_t splits_before = splits_.load(std::memory_order_relaxed);
   std::uint64_t late = 0;
   std::vector<std::future<AsyncResult>> futures;
   futures.reserve(static_cast<std::size_t>(total));
@@ -745,6 +799,8 @@ ServingReport AsyncServer::drive(const std::vector<RequestRef>& requests,
                    ? static_cast<double>(total) / (report.wall_ms / 1000.0)
                    : 0.0;
   report.steals = steals_.load(std::memory_order_relaxed) - steals_before;
+  report.split_batches =
+      splits_.load(std::memory_order_relaxed) - splits_before;
   report.late_arrivals = late;
   report.shed = shed_count;
   report.shed_rate =

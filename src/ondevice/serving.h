@@ -16,9 +16,20 @@
 // since a ranked batch keeps no logits rows); when that queue is empty it
 // takes a run from another shard (a steal, so a skewed model mix cannot
 // strand capacity on an idle shard), and when every queue is empty it
-// parks on its primary, re-scanning the other shards every millisecond. No
-// request is held back to grow a batch: batches grow only while every
-// worker is busy. max_batch = 1 is the closed-loop batch-1 drain.
+// sweeps a part posted to its primary's help slot (below), or parks on its
+// primary until a request or a part arrives, re-scanning the other shards
+// every millisecond. No request is held back to grow a batch: batches grow
+// only while every worker is busy. max_batch = 1 is the closed-loop batch-1
+// drain.
+//
+// A parked worker also lends a hand. Each shard has one help slot: a
+// worker whose batch sweeps at least ExecutionContext::kMinSplitTiles
+// catalog tiles while another worker is parked on the batch's shard posts
+// the upper half of the tiles there and wakes the parked worker, which
+// claims and sweeps it. The owner sweeps the lower half, then takes the
+// part back if nobody claimed it, or waits for the helper and merges the
+// two top-k lists. So a lone request's sweep runs on two cores, the answer
+// keeps its bits, and a saturated server (no parked worker) never splits.
 //
 // Deadline awareness runs end to end: every request carries a deadline
 // (default `deadline_us` after enqueue; 0 = none), and completions past it
@@ -96,6 +107,8 @@ struct ServingReport {
   double mean_batch = 0;       // executed requests / batches
   int shards = 0;              // scheduler shards the drain ran with
   std::uint64_t steals = 0;    // batches a worker took off a non-primary shard
+  // Batches whose output sweep's upper half a parked worker swept.
+  std::uint64_t split_batches = 0;
 
   // Deadline / admission-control accounting.
   // `requests` counts everything submitted; shed requests never execute,
@@ -360,6 +373,11 @@ class AsyncServer {
   std::uint64_t steal_count() const {
     return steals_.load(std::memory_order_relaxed);
   }
+  // Batches whose output sweep a parked worker split with their owner
+  // (lifetime).
+  std::uint64_t split_count() const {
+    return splits_.load(std::memory_order_relaxed);
+  }
   int shards() const { return static_cast<int>(shards_.size()); }
 
   // Session-store observability, summed over shards (atomic counters — safe
@@ -389,6 +407,10 @@ class AsyncServer {
     std::int32_t new_item = 0;
     Index top_k = 0;  // rank the logits when > 0
     Index nprobe = 0;  // pruned scan when > 0 and the model has an index
+    // A ranked request's answer, reserved to top_k at submit so the worker
+    // fills it without allocating.
+    std::vector<Index> top_ids;
+    std::vector<float> top_scores;
   };
   // A micro-batch a worker formed: the FIFO run of same-model requests it
   // popped from one shard, with the model version pinned at formation so a
@@ -403,9 +425,21 @@ class AsyncServer {
   // queue-wait estimator admission control feeds on. The estimator is a
   // plain atomic updated by workers with racy read-modify-write — a lost
   // update skews an ESTIMATE, never correctness.
-  struct Shard {
+  //
+  // A shard is also the SweepHelper of the batches formed from it: it
+  // splits a sweep only while a worker is parked on its queue, and its one
+  // help slot holds a posted part until a worker claims it or its owner
+  // takes it back.
+  struct Shard : SweepHelper {
     explicit Shard(std::size_t queue_cap) : queue(queue_cap) {}
+    Index split_column(Index out) override;
+    bool post(SweepPart* part) override;
+    bool withdraw(SweepPart* part) override;
+    // Claims and sweeps a posted part; false when none was posted.
+    bool help();
     RequestQueue<QueuedRequest> queue;
+    std::atomic<int> parked{0};  // workers blocked on `queue`
+    std::atomic<SweepPart*> lent{nullptr};  // the help slot
     // Peak-decay queue-wait p99 estimate (µs): jumps to any new maximum,
     // decays 1/8 toward each smaller sample. Admission control compares
     // this against a request's deadline.
@@ -528,6 +562,7 @@ class AsyncServer {
   mutable std::mutex stats_mutex_;
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> steals_{0};
+  std::atomic<std::uint64_t> splits_{0};
   std::vector<std::thread> workers_;
 };
 

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <thread>
 
 #include "data/synthetic.h"
 #include "ondevice/kernels.h"
@@ -657,6 +658,128 @@ TEST_F(EngineTest, PrunedRowsGatherTheSameBitsInAnyBatch) {
         const std::vector<ScoredId> prefix(got.begin(), got.begin() + kept);
         EXPECT_TRUE(same_ranking(mixed_top[b], prefix)) << row;
         ++p;
+      }
+    }
+  }
+}
+
+
+// A SweepHelper that splits every sweep at a fixed column. kThread hands
+// the posted part to another thread, as a parked serving worker claims it;
+// kUnclaimed never lets anyone claim it, so the owner takes it back and
+// sweeps it itself.
+class FixedSplit : public SweepHelper {
+ public:
+  enum class Mode { kThread, kUnclaimed };
+  FixedSplit(Index column, Mode mode) : column_(column), mode_(mode) {}
+  ~FixedSplit() override { join(); }
+  Index split_column(Index) override { return column_; }
+  bool post(SweepPart* part) override {
+    join();
+    ++posted;
+    if (mode_ == Mode::kThread) {
+      helper_ = std::thread([part] { part->run(); });
+    }
+    return true;
+  }
+  bool withdraw(SweepPart*) override { return mode_ == Mode::kUnclaimed; }
+  void join() {
+    if (helper_.joinable()) {
+      helper_.join();
+    }
+  }
+  int posted = 0;
+
+ private:
+  Index column_;
+  Mode mode_;
+  std::thread helper_;
+};
+
+// The output sweep split in two column ranges, at every tile boundary from
+// 0 (the helper sweeps everything) to out (no split), scores every row
+// exactly as the whole sweep does: plain logits, exact top-k and pruned
+// gathers, with the part claimed by another thread or taken back.
+TEST_F(EngineTest, SplitSweepMatchesTheWholeSweepAtEveryTileBoundary) {
+  constexpr Index kTopK = 10;
+  constexpr Index kTile = ExecutionContext::kDenseTile;
+  Rng rng(1910);
+  for (const DType dtype : {DType::kF32, DType::kI8, DType::kI4G}) {
+    const std::string tag = dtype_name(dtype);
+    const std::string path = temp_path("split_" + tag);
+    const SweepModel m = write_sweep_model(path, 64, dtype, rng);
+    ASSERT_GE(m.out, 2 * kTile + 1);  // >= 3 tiles, the last one ragged
+    ASSERT_NE(m.out % kTile, 0);
+    const auto mapped = std::make_shared<const MmapModel>(path);
+    for (const char* family : {"scalar", "dispatch", "fma"}) {
+      ScopedEnv simd("MEMCOM_DISABLE_SIMD",
+                     std::string(family) == "scalar" ? "1" : nullptr);
+      ScopedEnv fma("MEMCOM_ENABLE_FMA",
+                    std::string(family) == "fma" ? "1" : nullptr);
+      auto compiled = std::make_shared<const CompiledModel>(mapped);
+      if (std::string(family) == "fma" && !compiled->kernels().fused) {
+        continue;  // no FMA hardware dispatched
+      }
+      ASSERT_TRUE(compiled->has_catalog_index());
+      ExecutionContext context(compiled, tflite_profile());
+      std::vector<Index> splits;
+      for (Index column = 0; column < m.out; column += kTile) {
+        splits.push_back(column);
+      }
+      splits.push_back(m.out);
+      for (const Index batch : {Index{1}, Index{8}}) {
+        std::vector<std::vector<std::int32_t>> histories;
+        for (Index b = 0; b < batch; ++b) {
+          histories.push_back({static_cast<std::int32_t>(1 + b)});
+        }
+        // B = 1 runs exact, then pruned; B = 8 mixes a full probe, a
+        // partial probe and exact rows.
+        std::vector<std::vector<Index>> probe_sets;
+        if (batch == 1) {
+          probe_sets = {{0}, {2}};
+        } else {
+          probe_sets = {{0, kSweepClusters, 0, 2, 0, 0, 1, 0}};
+        }
+        const BatchResult whole_plain = context.run_batch(histories);
+        for (const std::vector<Index>& nprobes : probe_sets) {
+          std::vector<std::vector<ScoredId>> whole_top;
+          std::vector<std::vector<ScoredId>> whole_all;
+          context.run_batch(histories, kTopK, &whole_top, &nprobes);
+          context.run_batch(histories, m.out, &whole_all, &nprobes);
+          for (const Index split : splits) {
+            for (const auto mode :
+                 {FixedSplit::Mode::kThread, FixedSplit::Mode::kUnclaimed}) {
+              const bool lent = split < m.out;
+              const bool claimed = lent && mode == FixedSplit::Mode::kThread;
+              const std::string where =
+                  tag + "/" + compiled->kernels().name + " B=" +
+                  std::to_string(batch) + " nprobe[0]=" +
+                  std::to_string(nprobes[0]) + " split=" +
+                  std::to_string(split) + (claimed ? " claimed" : " kept");
+              FixedSplit helper(split, mode);
+              const BatchResult plain =
+                  context.run_batch(histories, 0, nullptr, nullptr, &helper);
+              EXPECT_EQ(plain.split, claimed) << where;
+              EXPECT_TRUE(same_bits(plain.logits.data(),
+                                    whole_plain.logits.data(),
+                                    batch * m.out))
+                  << where;
+              std::vector<std::vector<ScoredId>> top;
+              const BatchResult ranked =
+                  context.run_batch(histories, kTopK, &top, &nprobes, &helper);
+              EXPECT_EQ(ranked.split, claimed) << where;
+              std::vector<std::vector<ScoredId>> all;
+              context.run_batch(histories, m.out, &all, &nprobes, &helper);
+              EXPECT_EQ(helper.posted, lent ? 3 : 0) << where;
+              for (std::size_t b = 0; b < histories.size(); ++b) {
+                EXPECT_TRUE(same_ranking(top[b], whole_top[b]))
+                    << where << " row " << b;
+                EXPECT_TRUE(same_ranking(all[b], whole_all[b]))
+                    << where << " row " << b;
+              }
+            }
+          }
+        }
       }
     }
   }

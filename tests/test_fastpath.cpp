@@ -13,24 +13,28 @@
 #include <cstdlib>
 #include <filesystem>
 #include <new>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "ondevice/engine.h"
+#include "ondevice/serving.h"
 #include "repro/model.h"
 #include "test_util.h"
 
 // --- Global allocation hook -------------------------------------------------
-// Counts operator-new calls while g_count_allocs is set. Replacing the
-// global operator new is binary-wide, so the counter is only armed around
-// the measured region.
+// Counts operator-new calls while g_count_allocs is set, in total and per
+// thread. Replacing the global operator new is binary-wide, so the counter
+// is only armed around the measured region.
 namespace {
 std::atomic<std::size_t> g_alloc_count{0};
 std::atomic<bool> g_count_allocs{false};
+thread_local std::size_t t_alloc_count = 0;
 
 void* counted_alloc(std::size_t size) {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    ++t_alloc_count;
   }
   void* ptr = std::malloc(size == 0 ? 1 : size);
   if (ptr == nullptr) {
@@ -352,6 +356,149 @@ TEST_F(FastPathTest, QuantizedModelsUseTheSamePlanMachinery) {
   }
   EXPECT_EQ(sequential.meter().weight_resident_bytes(),
             batched.meter().weight_resident_bytes());
+}
+
+
+// Runs every posted sweep part on one long-lived thread, as a parked serving
+// worker does, and counts what that thread allocates inside the parts. It
+// always claims: withdraw() waits until the thread has taken the part.
+class CountingHelper : public SweepHelper {
+ public:
+  explicit CountingHelper(Index column)
+      : column_(column), thread_([this] { loop(); }) {}
+  ~CountingHelper() override {
+    stop_.store(true);
+    thread_.join();
+  }
+  Index split_column(Index) override { return column_; }
+  bool post(SweepPart* part) override {
+    slot_.store(part, std::memory_order_release);
+    return true;
+  }
+  bool withdraw(SweepPart*) override {
+    while (slot_.load(std::memory_order_acquire) != nullptr) {
+      std::this_thread::yield();
+    }
+    return false;
+  }
+  std::size_t parts_run() const { return parts_run_.load(); }
+  std::size_t part_allocs() const { return part_allocs_.load(); }
+
+ private:
+  void loop() {
+    while (!stop_.load()) {
+      SweepPart* part = slot_.exchange(nullptr, std::memory_order_acquire);
+      if (part == nullptr) {
+        std::this_thread::yield();
+        continue;
+      }
+      const std::size_t before = t_alloc_count;
+      part->run();
+      part_allocs_ += t_alloc_count - before;
+      ++parts_run_;
+    }
+  }
+
+  Index column_;
+  std::atomic<SweepPart*> slot_{nullptr};
+  std::atomic<bool> stop_{false};
+  std::atomic<std::size_t> parts_run_{0};
+  std::atomic<std::size_t> part_allocs_{0};
+  std::thread thread_;
+};
+
+// A lent part's scratch and heaps belong to the owner's context and are
+// sized before the part is posted: once warm, the thread that sweeps it
+// allocates nothing, for exact, pruned and plain rows alike.
+TEST_F(FastPathTest, WarmSplitPartsAllocateNothingOnTheHelper) {
+  ModelConfig config =
+      small_config(TechniqueKind::kMemcom, ModelArch::kRanking);
+  config.output_vocab = 2 * ExecutionContext::kDenseTile + 13;
+  RecModel model(config);
+  const std::string path = temp_path("split_allocs");
+  model.export_mcm(path, DType::kI4G, "split", 1, 32, /*emit_plan=*/false,
+                   /*emit_index=*/true, /*index_clusters=*/8);
+  auto compiled = std::make_shared<const CompiledModel>(
+      std::make_shared<const MmapModel>(path));
+  ASSERT_TRUE(compiled->has_catalog_index());
+  ExecutionContext context(compiled, tflite_profile());
+  const auto pool = sample_histories();
+  const std::vector<std::vector<std::int32_t>> eight(pool.begin(),
+                                                     pool.begin() + 6);
+  const std::vector<Index> mixed = {0, 2, 0, 8, 0, 1};
+  CountingHelper helper(ExecutionContext::kDenseTile);
+  std::vector<std::vector<ScoredId>> topk;
+  const auto calls = [&] {
+    context.run_batch(eight, 10, &topk, nullptr, &helper);
+    context.run_batch(eight, 10, &topk, &mixed, &helper);
+    context.run_batch({pool[0]}, 10, &topk, nullptr, &helper);
+    context.run_batch(eight, 0, nullptr, nullptr, &helper);
+  };
+  calls();
+  const std::size_t warm_runs = helper.parts_run();
+  g_count_allocs.store(true);
+  for (int i = 0; i < 3; ++i) {
+    calls();
+  }
+  g_count_allocs.store(false);
+  EXPECT_EQ(helper.parts_run(), 4 * warm_runs);
+  EXPECT_EQ(helper.part_allocs(), 0u);
+}
+
+// A warm two-worker session drain, one request at a time so the idle
+// worker helps with the sweeps: the workers allocate at most once per
+// answer. A ranked answer's buffers are reserved at submit, on the
+// submitting thread; what the workers allocate is their own bookkeeping.
+TEST_F(FastPathTest, WarmSessionDrainAllocatesAtMostOncePerAnswerOnWorkers) {
+  ModelConfig config =
+      small_config(TechniqueKind::kMemcom, ModelArch::kRanking);
+  config.embedding.embed_dim = 64;
+  config.output_vocab =
+      ExecutionContext::kMinSplitTiles * ExecutionContext::kDenseTile + 13;
+  RecModel model(config);
+  const std::string path = temp_path("drain_allocs");
+  model.export_mcm(path, DType::kI4G);
+  const MmapModel mapped(path);
+  AsyncServerConfig server_config;
+  server_config.threads = 2;
+  server_config.session_capacity = 64;
+  AsyncServer server(mapped, tflite_profile(), server_config);
+  const auto event = [](int i) {
+    return SessionEvent{static_cast<std::uint64_t>(i % 8),
+                        static_cast<std::int32_t>(1 + (i * 13) % 119)};
+  };
+  const auto answer = [&](int i) {
+    const SessionEvent e = event(i);
+    server
+        .submit_next_item(AsyncServer::kDefaultModelId, e.session_id, e.item,
+                          10)
+        .get();
+  };
+  // Warm both workers: a burst gives each its own batches (its context,
+  // meter pages and arenas), then lone requests split their sweeps.
+  std::vector<SessionEvent> burst;
+  for (int i = 0; i < 256; ++i) {
+    burst.push_back(event(i));
+  }
+  server.serve_sessions(burst, 10);
+  for (int i = 0; i < 64; ++i) {
+    answer(i);
+  }
+  // At least 64 answers, and on until one of them split (a loaded host can
+  // wake the parked worker too late for a while).
+  const std::uint64_t splits_before = server.split_count();
+  int answers = 0;
+  t_alloc_count = 0;
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  while (answers < 64 ||
+         (server.split_count() == splits_before && answers < 4096)) {
+    answer(answers++);
+  }
+  g_count_allocs.store(false);
+  const std::size_t on_workers = g_alloc_count.load() - t_alloc_count;
+  EXPECT_GT(server.split_count(), splits_before);
+  EXPECT_LE(on_workers, static_cast<std::size_t>(answers));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -104,6 +105,43 @@ TEST(KernelDispatch, FmaIsOptInOnTop) {
   const std::string name = select_kernels().name;
   if (std::string(scalar_kernels().name) != name && name.rfind("avx2", 0) == 0) {
     EXPECT_EQ(name, "avx2+fma");
+  }
+}
+
+TEST(KernelDispatch, OnlyTheFmaSetIsFused) {
+  ScopedEnv disable("MEMCOM_DISABLE_SIMD", nullptr);
+  EXPECT_FALSE(scalar_kernels().fused);
+  {
+    ScopedEnv fma("MEMCOM_ENABLE_FMA", nullptr);
+    EXPECT_FALSE(select_kernels().fused) << select_kernels().name;
+  }
+  ScopedEnv fma("MEMCOM_ENABLE_FMA", "1");
+  const KernelSet& k = select_kernels();
+  EXPECT_EQ(k.fused, std::string(k.name) == "avx2+fma") << k.name;
+}
+
+// The sweep's hot AVX2 kernels each start on a 64-byte line, wherever the
+// linker puts the rest of the code.
+TEST(KernelDispatch, HotAvx2KernelsStartOnACacheLine) {
+  ScopedEnv disable("MEMCOM_DISABLE_SIMD", nullptr);
+  const auto line_offset = [](auto fn) {
+    return reinterpret_cast<std::uintptr_t>(fn) % 64;
+  };
+  {
+    ScopedEnv fma("MEMCOM_ENABLE_FMA", nullptr);
+    const KernelSet& k = select_kernels();
+    if (std::string(k.name) != "avx2") {
+      GTEST_SKIP() << "AVX2 not dispatched (" << k.name << ")";
+    }
+    EXPECT_EQ(line_offset(k.dequant_span), 0u);
+    EXPECT_EQ(line_offset(k.axpy), 0u);
+    EXPECT_EQ(line_offset(k.acc_add), 0u);
+    EXPECT_EQ(line_offset(k.first_ge), 0u);
+  }
+  ScopedEnv fma("MEMCOM_ENABLE_FMA", "1");
+  const KernelSet& k = select_kernels();
+  if (std::string(k.name) == "avx2+fma") {
+    EXPECT_EQ(line_offset(k.axpy), 0u);
   }
 }
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -210,6 +212,76 @@ TEST_F(ServingTest, PlanCompiledOnceAndSharedAcrossWorkers) {
     const Tensor expected = reference.run(requests[r]).logits;
     for (Index c = 0; c < expected.numel(); ++c) {
       EXPECT_EQ(served.at2(static_cast<Index>(r), c), expected[c]);
+    }
+  }
+}
+
+
+// A lone session request's output sweep spans enough catalog tiles to split:
+// the worker that owns the batch lends the upper half to the parked worker.
+// Every answer still carries the single-context run_batch ranking, ids and
+// score bits; one worker never splits.
+TEST_F(ServingTest, LoneSessionRequestsSplitTheirSweepAcrossTheParkedWorker) {
+  ModelConfig config;
+  config.embedding.kind = TechniqueKind::kMemcom;
+  config.embedding.vocab = 200;
+  config.embedding.embed_dim = 16;
+  config.embedding.knob = 32;
+  config.arch = ModelArch::kRanking;
+  config.output_vocab =
+      ExecutionContext::kMinSplitTiles * ExecutionContext::kDenseTile + 13;
+  config.seed = 4322;
+  const std::string path = temp_path("split");
+  RecModel(config).export_mcm(path, DType::kI4G);
+  const MmapModel mapped(path);
+  ExecutionContext reference(std::make_shared<const CompiledModel>(mapped),
+                             tflite_profile());
+  constexpr Index kTopK = 10;
+  for (const int threads : {2, 1}) {
+    AsyncServerConfig server_config;
+    server_config.threads = threads;
+    AsyncServer server(mapped, tflite_profile(), server_config);
+    std::map<std::uint64_t, std::vector<std::int32_t>> sessions;
+    std::uint64_t split_batches = 0;
+    // 24 requests, and with two workers on until one split (a loaded host
+    // can wake the parked worker too late for a while).
+    for (int i = 0; i < 24 || (threads > 1 && split_batches == 0 && i < 2048);
+         ++i) {
+      const std::uint64_t session = static_cast<std::uint64_t>(i % 4);
+      const auto item = static_cast<std::int32_t>(1 + (i * 37) % 199);
+      sessions[session].push_back(item);
+      // One request at a time: the other worker is parked when it lands.
+      std::vector<std::vector<Index>> drained;
+      const ServingReport report = server.serve_sessions(
+          {SessionEvent{session, item}}, kTopK, &drained);
+      split_batches += report.split_batches;
+      std::vector<std::vector<ScoredId>> want;
+      reference.run_batch({sessions[session]}, kTopK, &want);
+      ASSERT_EQ(drained[0].size(), want[0].size()) << "request " << i;
+      for (std::size_t j = 0; j < want[0].size(); ++j) {
+        EXPECT_EQ(drained[0][j], want[0][j].id) << "request " << i;
+      }
+      // The same interaction again, answered through a future with its
+      // scores: the history grows by the same item on both sides.
+      sessions[session].push_back(item);
+      reference.run_batch({sessions[session]}, kTopK, &want);
+      const AsyncResult got =
+          server.submit_next_item(AsyncServer::kDefaultModelId, session, item,
+                                  kTopK)
+              .get();
+      ASSERT_EQ(got.top_ids.size(), want[0].size()) << "request " << i;
+      for (std::size_t j = 0; j < want[0].size(); ++j) {
+        EXPECT_EQ(got.top_ids[j], want[0][j].id) << "request " << i;
+        EXPECT_EQ(std::memcmp(&got.top_scores[j], &want[0][j].score,
+                              sizeof(float)),
+                  0)
+            << "request " << i;
+      }
+    }
+    EXPECT_EQ(split_batches > 0, threads > 1) << threads << " workers";
+    EXPECT_LE(split_batches, server.split_count());
+    if (threads == 1) {
+      EXPECT_EQ(server.split_count(), 0u);
     }
   }
 }
