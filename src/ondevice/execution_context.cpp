@@ -56,8 +56,8 @@ void ExecutionContext::resize_scratch() {
   row2_.resize(static_cast<std::size_t>(e), 0.0f);
   hidden_.resize(static_cast<std::size_t>(plan.hidden_dim()), 0.0f);
   logits_.resize(static_cast<std::size_t>(plan.output_dim()), 0.0f);
-  own_.tile.resize(static_cast<std::size_t>(kDenseTile), 0.0f);
-  lent_.tile.resize(static_cast<std::size_t>(kDenseTile), 0.0f);
+  own_.tile.resize(static_cast<std::size_t>(kBlock * kDenseTile), 0.0f);
+  lent_.tile.resize(static_cast<std::size_t>(kBlock * kDenseTile), 0.0f);
   onehot_.resize(plan.uses_onehot_path()
                      ? static_cast<std::size_t>(plan.hash_size())
                      : 0,
@@ -399,39 +399,55 @@ void ExecutionContext::apply_dense_rows(const DenseSweep& sweep, Index c_begin,
     for (Index r = 0; r < rows; ++r) {
       std::fill(acc(r, c0), acc(r, c0) + width, 0.0f);
     }
-    for (Index k = 0; k < in; ++k) {
+    for (Index k = 0; k < in; k += kBlock) {
+      // Weight rows [k, k + nk): f32 segments straight from the mapping
+      // (stride out), quantized ones decoded into the scratch (stride
+      // kDenseTile) — every segment regardless of activation sparsity, and
+      // once for the whole micro-batch.
+      const Index nk = std::min(kBlock, in - k);
       const float* w = tile;
+      Index stride = kDenseTile;
       if (f32 != nullptr) {
-        // Unconditional MAC straight from the mapping: a real dense matmul
-        // pays the full in·out cost whatever the post-ReLU sparsity of x
-        // (zero rows contribute ±0 and leave y unchanged).
         w = f32 + k * out + c0;
-        for (Index r = 0; r < rows; ++r) {
-          ker.axpy(acc(r, c0), xs[r * in + k], w, width);
-        }
+        stride = out;
       } else {
-        // Every weight tile is decoded regardless of activation sparsity —
-        // once for the whole micro-batch — and rows with x[k] == 0 skip it.
-        ker.dequant_span(dense.weight.src, k * out + c0, width, tile);
-        for (Index r = 0; r < rows; ++r) {
-          const float xv = xs[r * in + k];
-          if (xv != 0.0f) {
-            ker.axpy(acc(r, c0), xv, tile, width);
+        for (Index j = 0; j < nk; ++j) {
+          ker.dequant_span(dense.weight.src, (k + j) * out + c0, width,
+                           tile + j * kDenseTile);
+        }
+      }
+      for (Index r = 0; r < rows; ++r) {
+        const float* x = xs + r * in + k;
+        // A whole block goes through axpy_block when no weight row is
+        // skipped: f32 weights MAC every k (a real dense matmul pays the
+        // full in·out cost whatever the post-ReLU sparsity of x; zero rows
+        // add ±0 and leave y unchanged), quantized ones skip x[k] == 0.
+        if (nk == kBlock &&
+            (f32 != nullptr || std::find(x, x + kBlock, 0.0f) == x + kBlock)) {
+          ker.axpy_block(acc(r, c0), x, w, stride, width);
+          continue;
+        }
+        for (Index j = 0; j < nk; ++j) {
+          if (f32 != nullptr || x[j] != 0.0f) {
+            ker.axpy(acc(r, c0), x[j], w + j * stride, width);
           }
         }
       }
-      // Gather rows read their columns off the same decoded tile, with the
+      // Gather rows read their columns off the same segments, with the
       // exact rows' per-element rules (quantized skips x[k] == 0).
-      for (std::size_t g = 0; g < ngathers; ++g) {
-        const GatherRow& row = gathers[g];
-        const float xv = row.x[k];
-        if (f32 == nullptr && xv == 0.0f) {
-          continue;
-        }
-        for (std::size_t i = row.lo; i < row.hi; ++i) {
-          const float wv = w[row.cols[i] - c0];
-          row.acc[i] = fused ? std::fma(xv, wv, row.acc[i])
-                             : row.acc[i] + xv * wv;
+      for (Index j = 0; j < nk; ++j) {
+        const float* wk = w + j * stride;
+        for (std::size_t g = 0; g < ngathers; ++g) {
+          const GatherRow& row = gathers[g];
+          const float xv = row.x[k + j];
+          if (f32 == nullptr && xv == 0.0f) {
+            continue;
+          }
+          for (std::size_t i = row.lo; i < row.hi; ++i) {
+            const float wv = wk[row.cols[i] - c0];
+            row.acc[i] = fused ? std::fma(xv, wv, row.acc[i])
+                               : row.acc[i] + xv * wv;
+          }
         }
       }
     }

@@ -27,6 +27,7 @@
 #include "ondevice/compiled_model.h"
 #include "ondevice/device_profile.h"
 #include "ondevice/hot_row_cache.h"
+#include "ondevice/kernels.h"
 #include "ondevice/memory_meter.h"
 #include "ondevice/topk.h"
 
@@ -98,9 +99,14 @@ class SweepHelper {
 
 class ExecutionContext {
  public:
-  // Output columns per dense sweep tile: 4 KB of floats, so the decoded
-  // tile plus a micro-batch's row tiles stay L1-resident across all k.
+  // Output columns per dense sweep tile: 4 KB of floats per row, so the
+  // decoded [kBlock, kDenseTile] block (32 KB) and a micro-batch's row
+  // tiles stay cache-resident across all k. (512- and 256-wide tiles, which
+  // shrink that footprint, measured slower.)
   static constexpr Index kDenseTile = 1024;
+  // Weight rows the sweep takes per step: each row's tile takes one
+  // axpy_block (kBlock MACs) per load and store of its accumulators.
+  static constexpr Index kBlock = KernelSet::kBlock;
   // Fewest tiles a sweep spans before it is worth lending half of it: a
   // helper's wake-up costs about as much as a few B = 1 tiles.
   static constexpr Index kMinSplitTiles = 8;
@@ -254,7 +260,7 @@ class ExecutionContext {
   // outputs: the decoded weight tile, the ranked rows' accumulator tiles,
   // where each ranked row ranks, and the gather rows' cursors.
   struct SweepScratch {
-    std::vector<float> tile;       // kDenseTile
+    std::vector<float> tile;       // [kBlock, kDenseTile], decoded
     std::vector<float> row_tiles;  // [rows, kDenseTile], ranked sweeps
     std::vector<std::vector<ScoredId>*> heaps;
     std::vector<GatherRow> gathers;
@@ -264,13 +270,19 @@ class ExecutionContext {
   static void prepare_part(const DenseSweep& sweep, SweepScratch& scratch);
   // Columns [c_begin, c_end) of `sweep`; c_begin is a multiple of kDenseTile.
   //
-  // Each kDenseTile-wide segment of weight row k is decoded once into the
-  // scratch tile and axpy'd into every row's tile, then the bias lands with
-  // acc_add. Per output element that is exactly the single-row order —
-  // zero, then x[k]*w[k,j] in increasing k (quantized weights skip
-  // x[k] == 0, f32 weights MAC every k straight from the mapping), then
-  // + b[j] — so a row's result does not depend on `rows`, the tile width,
-  // the range bounds, or which other rows share the sweep.
+  // Weight rows are walked in blocks of kBlock: the block's kDenseTile-wide
+  // segments are decoded once into the [kBlock, kDenseTile] scratch (f32
+  // weights are read straight from the mapping), and each row's tile takes
+  // the whole block in one axpy_block call, which loads and stores its
+  // accumulators once instead of once per k. A quantized row with a ±0
+  // coefficient in the block, and the trailing in % kBlock rows, take the
+  // per-k axpy instead. Then the bias lands with acc_add. Per output
+  // element that is exactly the single-row order — zero, then x[k]*w[k,j]
+  // in increasing k (quantized weights skip x[k] == 0, f32 weights MAC
+  // every k), then + b[j] — and axpy_block is bit-identical to kBlock
+  // sequential axpy calls, so a row's result does not depend on `rows`,
+  // the tile width, the block, the range bounds, or which other rows share
+  // the sweep.
   //
   // Ranked rows accumulate in the scratch row tiles, and each finished tile
   // (bias added) is offered to the row's heap through topk_offer_span,
@@ -279,7 +291,7 @@ class ExecutionContext {
   // the range's logits.
   //
   // Gather rows ride the same sweep: for each of its columns in the tile a
-  // gather row adds x[k]*w[k,j] off the decoded segment under the same
+  // gather row adds x[k]*w[k,j] off the block's segments under the same
   // rules (a fused MAC when the family's axpy is fused), so each gathered
   // sum equals the exact row's before its bias.
   //

@@ -82,6 +82,17 @@ void axpy(float* y, float a, const float* x, Index n) {
   }
 }
 
+void axpy_block(float* y, const float* a, const float* w, Index stride,
+                Index n) {
+  for (Index i = 0; i < n; ++i) {
+    float acc = y[i];
+    for (Index j = 0; j < KernelSet::kBlock; ++j) {
+      acc += a[j] * w[j * stride + i];
+    }
+    y[i] = acc;
+  }
+}
+
 // 8-lane striped accumulation (see the KernelSet contract): element i lands
 // in lane i&7, which is exactly the lane an 8-wide vector accumulator would
 // give it, so the AVX2 body below is bit-identical by construction.
@@ -109,8 +120,8 @@ namespace {
 const KernelSet kScalar = {
     "scalar",           scalar::dequant_span,       scalar::acc_add,
     scalar::acc_scale_add, scalar::acc_scale_bias_add, scalar::acc_mult_add,
-    scalar::axpy,       scalar::dot,                scalar::first_ge,
-    /*fused=*/false,
+    scalar::axpy,       scalar::axpy_block,         scalar::dot,
+    scalar::first_ge,   /*fused=*/false,
 };
 
 }  // namespace
@@ -207,6 +218,48 @@ MEMCOM_HOT __attribute__((target("avx2"))) void axpy(float* y, float a,
   }
 }
 
+// The 8 coefficients stay broadcast in registers; each 8-lane slice of y is
+// loaded once, takes its 8 products in increasing j (mul, then add, as
+// axpy does), and is stored once. The tail runs the scalar reference.
+MEMCOM_HOT __attribute__((target("avx2"))) void axpy_block(float* y,
+                                                            const float* a,
+                                                            const float* w,
+                                                            Index stride,
+                                                            Index n) {
+  static_assert(KernelSet::kBlock == 8, "one register per coefficient");
+  const __m256 a0 = _mm256_set1_ps(a[0]);
+  const __m256 a1 = _mm256_set1_ps(a[1]);
+  const __m256 a2 = _mm256_set1_ps(a[2]);
+  const __m256 a3 = _mm256_set1_ps(a[3]);
+  const __m256 a4 = _mm256_set1_ps(a[4]);
+  const __m256 a5 = _mm256_set1_ps(a[5]);
+  const __m256 a6 = _mm256_set1_ps(a[6]);
+  const __m256 a7 = _mm256_set1_ps(a[7]);
+  const float* w1 = w + stride;
+  const float* w2 = w1 + stride;
+  const float* w3 = w2 + stride;
+  const float* w4 = w3 + stride;
+  const float* w5 = w4 + stride;
+  const float* w6 = w5 + stride;
+  const float* w7 = w6 + stride;
+  Index i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 vy = _mm256_loadu_ps(y + i);
+    vy = _mm256_add_ps(vy, _mm256_mul_ps(a0, _mm256_loadu_ps(w + i)));
+    vy = _mm256_add_ps(vy, _mm256_mul_ps(a1, _mm256_loadu_ps(w1 + i)));
+    vy = _mm256_add_ps(vy, _mm256_mul_ps(a2, _mm256_loadu_ps(w2 + i)));
+    vy = _mm256_add_ps(vy, _mm256_mul_ps(a3, _mm256_loadu_ps(w3 + i)));
+    vy = _mm256_add_ps(vy, _mm256_mul_ps(a4, _mm256_loadu_ps(w4 + i)));
+    vy = _mm256_add_ps(vy, _mm256_mul_ps(a5, _mm256_loadu_ps(w5 + i)));
+    vy = _mm256_add_ps(vy, _mm256_mul_ps(a6, _mm256_loadu_ps(w6 + i)));
+    vy = _mm256_add_ps(vy, _mm256_mul_ps(a7, _mm256_loadu_ps(w7 + i)));
+    _mm256_storeu_ps(y + i, vy);
+  }
+  if (i < n) {
+    scalar::axpy_block(y + i, a, w + i, stride, n - i);
+  }
+}
+
 // Fused dense MAC: one rounding per element instead of two. NOT bit-exact
 // vs scalar — |diff| <= ulp(|a*x|)/2 per element — which is why it is
 // opt-in (MEMCOM_ENABLE_FMA=1) and documented in tests/test_kernels.cpp.
@@ -222,6 +275,47 @@ MEMCOM_HOT __attribute__((target("avx2,fma"))) void axpy_fma(float* y, float a,
   }
   for (; i < n; ++i) {
     y[i] = std::fma(a, x[i], y[i]);
+  }
+}
+
+// axpy_block with one fma per product, in the same order: exactly 8
+// sequential axpy_fma calls, so it carries axpy_fma's tolerance, no more.
+MEMCOM_HOT __attribute__((target("avx2,fma"))) void axpy_block_fma(
+    float* y, const float* a, const float* w, Index stride, Index n) {
+  const __m256 a0 = _mm256_set1_ps(a[0]);
+  const __m256 a1 = _mm256_set1_ps(a[1]);
+  const __m256 a2 = _mm256_set1_ps(a[2]);
+  const __m256 a3 = _mm256_set1_ps(a[3]);
+  const __m256 a4 = _mm256_set1_ps(a[4]);
+  const __m256 a5 = _mm256_set1_ps(a[5]);
+  const __m256 a6 = _mm256_set1_ps(a[6]);
+  const __m256 a7 = _mm256_set1_ps(a[7]);
+  const float* w1 = w + stride;
+  const float* w2 = w1 + stride;
+  const float* w3 = w2 + stride;
+  const float* w4 = w3 + stride;
+  const float* w5 = w4 + stride;
+  const float* w6 = w5 + stride;
+  const float* w7 = w6 + stride;
+  Index i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 vy = _mm256_loadu_ps(y + i);
+    vy = _mm256_fmadd_ps(a0, _mm256_loadu_ps(w + i), vy);
+    vy = _mm256_fmadd_ps(a1, _mm256_loadu_ps(w1 + i), vy);
+    vy = _mm256_fmadd_ps(a2, _mm256_loadu_ps(w2 + i), vy);
+    vy = _mm256_fmadd_ps(a3, _mm256_loadu_ps(w3 + i), vy);
+    vy = _mm256_fmadd_ps(a4, _mm256_loadu_ps(w4 + i), vy);
+    vy = _mm256_fmadd_ps(a5, _mm256_loadu_ps(w5 + i), vy);
+    vy = _mm256_fmadd_ps(a6, _mm256_loadu_ps(w6 + i), vy);
+    vy = _mm256_fmadd_ps(a7, _mm256_loadu_ps(w7 + i), vy);
+    _mm256_storeu_ps(y + i, vy);
+  }
+  for (; i < n; ++i) {
+    float acc = y[i];
+    for (Index j = 0; j < KernelSet::kBlock; ++j) {
+      acc = std::fma(a[j], w[j * stride + i], acc);
+    }
+    y[i] = acc;
   }
 }
 
@@ -397,16 +491,16 @@ namespace {
 const KernelSet kAvx2 = {
     "avx2",             avx2::dequant_span_impl,  avx2::acc_add,
     avx2::acc_scale_add, avx2::acc_scale_bias_add, avx2::acc_mult_add,
-    avx2::axpy,         avx2::dot,                avx2::first_ge,
-    /*fused=*/false,
+    avx2::axpy,         avx2::axpy_block,         avx2::dot,
+    avx2::first_ge,     /*fused=*/false,
 };
 
 // Same set with the FUSED dense MAC swapped in (documented tolerance).
 const KernelSet kAvx2Fma = {
     "avx2+fma",         avx2::dequant_span_impl,  avx2::acc_add,
     avx2::acc_scale_add, avx2::acc_scale_bias_add, avx2::acc_mult_add,
-    avx2::axpy_fma,     avx2::dot,                avx2::first_ge,
-    /*fused=*/true,
+    avx2::axpy_fma,     avx2::axpy_block_fma,     avx2::dot,
+    avx2::first_ge,     /*fused=*/true,
 };
 
 }  // namespace
@@ -425,8 +519,8 @@ namespace {
 const KernelSet kNeonStub = {
     "neon-stub",        scalar::dequant_span,       scalar::acc_add,
     scalar::acc_scale_add, scalar::acc_scale_bias_add, scalar::acc_mult_add,
-    scalar::axpy,       scalar::dot,                scalar::first_ge,
-    /*fused=*/false,
+    scalar::axpy,       scalar::axpy_block,         scalar::dot,
+    scalar::first_ge,   /*fused=*/false,
 };
 
 }  // namespace

@@ -14,10 +14,11 @@
 //     time, and never contract mul+add into an FMA (nor may the compiler:
 //     every module builds with -ffp-contract=off, see src/CMakeLists.txt,
 //     which keeps FMA-baseline builds such as -march=x86-64-v3 from fusing
-//     the scalar reference). The only kernel allowed
-//     to diverge is `axpy_fma` (the fused dense MAC), which is opt-in via
-//     MEMCOM_ENABLE_FMA=1 and carries a documented tolerance instead of the
-//     bit-exactness contract (fused rounding differs from mul-then-add).
+//     the scalar reference). The only kernels allowed
+//     to diverge are the fused dense MACs (`axpy` and `axpy_block` of the
+//     avx2+fma set), which are opt-in via MEMCOM_ENABLE_FMA=1 and carry a
+//     documented tolerance instead of the bit-exactness contract (fused
+//     rounding differs from mul-then-add).
 //   * neon   — aarch64 placeholder registered behind the same dispatch
 //     table; its entries currently forward to the scalar reference so the
 //     selection machinery is exercised on ARM builds before tuned NEON
@@ -69,6 +70,19 @@ struct KernelSet {
   // y[i] += a * x[i]            (dense MAC row, factorized projection row,
   //                              one-hot z*row accumulate)
   void (*axpy)(float* y, float a, const float* x, Index n) = nullptr;
+  // Weight rows per axpy_block call (the output sweep's k block).
+  static constexpr Index kBlock = 8;
+  // y[i] += a[j] * w[j*stride + i] for j = 0..kBlock-1 in turn — the dense
+  // sweep's MAC over a block of kBlock weight rows.
+  //
+  // Bit-exactness contract: per element exactly kBlock sequential calls to
+  // this family's own axpy, y[i] += a[0]*w[i], then a[1]*w[stride+i], ...
+  // (mul then add, or one fma per product where `fused`). The body loads
+  // y once, adds the kBlock products in increasing j and stores y once, so
+  // it trades kBlock loads and stores of y for one without moving a bit.
+  // `w` rows must not overlap `y`.
+  void (*axpy_block)(float* y, const float* a, const float* w, Index stride,
+                     Index n) = nullptr;
   // sum_i a[i]*b[i]             (probe query · catalog-index centroid)
   //
   // Bit-exactness contract: 8-lane STRIPED accumulation — element i is

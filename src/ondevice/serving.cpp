@@ -541,15 +541,15 @@ void AsyncServer::execute_batch(std::size_t worker, WorkerState& state) {
             std::chrono::duration<double, std::milli>(service_end -
                                                       r.enqueue_tp)
                 .count();
-        stats.queue_wait_ms.push_back(wait_ms);
-        stats.service_ms.push_back(service_ms);
-        stats.total_ms.push_back(total_ms);
+        stats.queue_wait_ms.record(wait_ms);
+        stats.service_ms.record(service_ms);
+        stats.total_ms.record(total_ms);
         ++stats.requests;
         if (r.is_session) {
           ++stats.session_requests;
-          stats.session_total_ms.push_back(total_ms);
+          stats.session_total_ms.record(total_ms);
         }
-        lane.total_ms.push_back(total_ms);
+        lane.total_ms.record(total_ms);
         ++lane.requests;
       }
     }
@@ -609,10 +609,19 @@ void AsyncServer::execute_batch(std::size_t worker, WorkerState& state) {
   }
 }
 
+void AsyncServer::WorkerStats::reset() {
+  std::map<std::string, ModelLane> lanes = std::move(models);
+  *this = WorkerStats{};
+  models = std::move(lanes);
+  for (auto& [model_id, lane] : models) {
+    lane = ModelLane{};
+  }
+}
+
 void AsyncServer::reset_stats() {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   for (WorkerStats& stats : worker_stats_) {
-    stats = WorkerStats{};
+    stats.reset();
   }
 }
 
@@ -815,37 +824,32 @@ ServingReport AsyncServer::drive(const std::vector<RequestRef>& requests,
       report.wall_ms > 0.0
           ? static_cast<double>(ok_in_slo) / (report.wall_ms / 1000.0)
           : 0.0;
-  collect_stats(report, total);
+  collect_stats(report);
   return report;
 }
 
-void AsyncServer::collect_stats(ServingReport& report, std::uint64_t total) {
+void AsyncServer::collect_stats(ServingReport& report) {
   std::uint64_t executed = 0;
-  std::vector<double> waits, services, totals, session_totals;
-  waits.reserve(static_cast<std::size_t>(total));
-  services.reserve(static_cast<std::size_t>(total));
-  totals.reserve(static_cast<std::size_t>(total));
+  LatencyHistogram waits, services, totals, session_totals;
   std::map<std::string, ModelReport> models;
-  std::map<std::string, std::vector<double>> model_totals;
+  std::map<std::string, LatencyHistogram> model_totals;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     for (const WorkerStats& stats : worker_stats_) {
-      waits.insert(waits.end(), stats.queue_wait_ms.begin(),
-                   stats.queue_wait_ms.end());
-      services.insert(services.end(), stats.service_ms.begin(),
-                      stats.service_ms.end());
-      totals.insert(totals.end(), stats.total_ms.begin(),
-                    stats.total_ms.end());
+      waits.merge(stats.queue_wait_ms);
+      services.merge(stats.service_ms);
+      totals.merge(stats.total_ms);
       report.session_requests += stats.session_requests;
-      session_totals.insert(session_totals.end(),
-                            stats.session_total_ms.begin(),
-                            stats.session_total_ms.end());
+      session_totals.merge(stats.session_total_ms);
       report.catalog_rows += stats.catalog_rows;
       report.scanned_rows += stats.scanned_rows;
       report.scanned_bytes += stats.scanned_bytes;
       report.batches += stats.batches;
       executed += stats.requests;
       for (const auto& [model_id, lane] : stats.models) {
+        if (lane.batches == 0) {
+          continue;  // a lane kept from an earlier drain
+        }
         ModelReport& model = models[model_id];
         model.model_id = model_id;
         model.version = std::max(model.version, lane.version);
@@ -864,17 +868,14 @@ void AsyncServer::collect_stats(ServingReport& report, std::uint64_t total) {
           model.cache.resident_bytes += lane.cache_resident_bytes;
           model.cache.capacity_bytes += lane.cache_capacity_bytes;
         }
-        auto& samples = model_totals[model_id];
-        samples.insert(samples.end(), lane.total_ms.begin(),
-                       lane.total_ms.end());
+        model_totals[model_id].merge(lane.total_ms);
       }
     }
   }
-  report.latency = latency_stats_from_samples(std::move(totals));
-  report.queue_wait = latency_stats_from_samples(std::move(waits));
-  report.service = latency_stats_from_samples(std::move(services));
-  report.session_latency =
-      latency_stats_from_samples(std::move(session_totals));
+  report.latency = totals.stats();
+  report.queue_wait = waits.stats();
+  report.service = services.stats();
+  report.session_latency = session_totals.stats();
   report.active_sessions = active_sessions();
   report.session_evictions = evicted_sessions();
   report.pruned_fraction =
@@ -888,8 +889,7 @@ void AsyncServer::collect_stats(ServingReport& report, std::uint64_t total) {
           ? static_cast<double>(executed) / static_cast<double>(report.batches)
           : 0.0;
   for (auto& [model_id, model] : models) {
-    model.latency =
-        latency_stats_from_samples(std::move(model_totals[model_id]));
+    model.latency = model_totals[model_id].stats();
     model.mean_batch = model.batches > 0
                            ? static_cast<double>(model.requests) /
                                  static_cast<double>(model.batches)

@@ -75,6 +75,7 @@
 #include "core/tensor.h"
 #include "ondevice/clock.h"
 #include "ondevice/engine.h"
+#include "ondevice/metrics.h"
 #include "ondevice/registry.h"
 #include "ondevice/request_queue.h"
 #include "ondevice/session.h"
@@ -100,6 +101,9 @@ struct ServingReport {
   std::uint64_t requests = 0;  // requests submitted (shed ones included)
   double wall_ms = 0;          // wall clock of the whole drain
   double qps = 0;              // requests / wall seconds (real clock)
+  // The latency columns come from the workers' merged LatencyHistograms
+  // (ondevice/metrics.h): runs, min, max and mean are exact, percentiles
+  // are the nearest-rank sample to within 1/32 of its value.
   LatencyStats latency;        // per-request end-to-end wall latency (ms)
   LatencyStats queue_wait;  // enqueue -> micro-batch picked up by a worker
   LatencyStats service;     // micro-batch execution wall time
@@ -127,8 +131,8 @@ struct ServingReport {
   std::uint64_t late_arrivals = 0;
 
   // Session workload slice (submit_next_item traffic; all zero when the
-  // drain carried none). session_latency reuses the same nearest-rank
-  // percentile math as `latency` — see latency_stats_from_samples.
+  // drain carried none). session_latency reads its percentiles off the
+  // same kind of histogram as `latency`.
   std::uint64_t session_requests = 0;
   LatencyStats session_latency;        // end-to-end wall latency (ms)
   Index active_sessions = 0;           // live sessions at report assembly
@@ -456,7 +460,7 @@ class AsyncServer {
     std::uint64_t version = 0;
     std::uint64_t requests = 0;
     std::uint64_t batches = 0;
-    std::vector<double> total_ms;
+    LatencyHistogram total_ms;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     bool cache_enabled = false;
@@ -465,24 +469,30 @@ class AsyncServer {
     double resident_mb = 0;                // post-batch snapshot
     std::size_t plan_bytes = 0;            // served plan (shared, not per worker)
   };
-  // Per-batch accounting a worker appends under stats_mutex_; serve()
-  // snapshots these after every future it waits on has resolved.
+  // Per-batch accounting a worker records under stats_mutex_; serve()
+  // snapshots these after every future it waits on has resolved. Latencies
+  // go into fixed-size histograms, so a long-running server's statistics
+  // do not grow with the requests it has served.
   struct WorkerStats {
-    std::vector<double> queue_wait_ms;
-    std::vector<double> service_ms;
-    std::vector<double> total_ms;
+    LatencyHistogram queue_wait_ms;
+    LatencyHistogram service_ms;
+    LatencyHistogram total_ms;
     std::uint64_t batches = 0;
     std::uint64_t requests = 0;
     // Session slice: submit_next_item requests this worker completed and
     // their end-to-end latencies (feeds ServingReport::session_latency).
     std::uint64_t session_requests = 0;
-    std::vector<double> session_total_ms;
+    LatencyHistogram session_total_ms;
     // Catalog-scan slice (ranked rows only; see ServingReport).
     std::uint64_t ranked_rows = 0;
     std::uint64_t catalog_rows = 0;
     std::uint64_t scanned_rows = 0;
     std::uint64_t scanned_bytes = 0;
     std::map<std::string, ModelLane> models;
+    // Zeroes every counter in place. Lanes stay (zeroed) so the next drain
+    // of the same models allocates nothing on the workers; a lane with no
+    // batches is left out of reports.
+    void reset();
   };
 
   QueuedRequest make_request(std::string model_id,
@@ -545,7 +555,7 @@ class AsyncServer {
   // Report-assembly tail of drive(): folds the worker stats accumulated
   // since the last reset_stats() into `report` (latency/batch/per-model/
   // cache columns plus the session slice).
-  void collect_stats(ServingReport& report, std::uint64_t total);
+  void collect_stats(ServingReport& report);
 
   AsyncServerConfig config_;
   DeviceProfile profile_;

@@ -355,9 +355,13 @@ bool same_ranking(const std::vector<ScoredId>& a,
 // history pools to that item's embedding row, and bn1 folds to scale +1 on
 // even features and -1 on odd ones, with shift -0 on both. So the trunk is
 // relu(row) on even features and -relu(row) on odd ones, and every ReLU
-// zero becomes an exact +0 (even) or -0 (odd) entry. The output catalog is
-// 2 tiles + 13 columns wide (ragged last tile) and carries a catalog index
-// so a row can take the pruned path.
+// zero becomes an exact +0 (even) or -0 (odd) entry. Rows of ids ≡ 1 (mod
+// 4) are positive, so their trunk has no zero and every whole k block takes
+// axpy_block; ids ≡ 3 (mod 8) are positive but for one feature in the first
+// block (+0 or -0), so that block takes the per-k path; the rest keep
+// random signs, a zero in most blocks. The output catalog is 2 tiles + 13
+// columns wide (ragged last tile) and carries a catalog index so a row can
+// take the pruned path.
 struct SweepModel {
   Index in = 0;
   Index out = 0;
@@ -377,6 +381,16 @@ SweepModel write_sweep_model(const std::string& path, Index in, DType dtype,
   m.in = in;
   m.out = 2 * ExecutionContext::kDenseTile + 13;
   m.table = Tensor::randn({kSweepVocab, in}, rng, 1.0f);
+  for (Index id = 0; id < kSweepVocab; ++id) {
+    if (id % 4 == 1 || id % 8 == 3) {
+      for (Index s = 0; s < in; ++s) {
+        m.table.at2(id, s) = std::fabs(m.table.at2(id, s)) + 0.125f;
+      }
+    }
+    if (id % 8 == 3) {
+      m.table.at2(id, 2 + (id / 8) % 2) = -1.0f;  // id 3: +0, id 11: -0
+    }
+  }
   const Tensor weight = Tensor::randn({in, m.out}, rng, 0.2f);
   m.bias = Tensor::randn({m.out}, rng, 0.1f);
   const float unit = std::sqrt(1.0f + 1e-5f);
@@ -451,7 +465,8 @@ constexpr DType kSweepDtypes[] = {DType::kF32, DType::kF16, DType::kI8,
 TEST_F(EngineTest, BatchedOutputSweepMatchesOracleBitForBit) {
   constexpr Index kTopK = 10;
   Rng rng(1907);
-  for (const Index in : {Index{24}, Index{64}}) {
+  // 29 leaves in % kBlock = 5 weight rows to the per-k step.
+  for (const Index in : {Index{24}, Index{29}, Index{64}}) {
     for (const DType dtype : kSweepDtypes) {
       const std::string tag =
           std::string(dtype_name(dtype)) + "_" + std::to_string(in);
@@ -490,6 +505,9 @@ TEST_F(EngineTest, BatchedOutputSweepMatchesOracleBitForBit) {
           std::vector<std::vector<std::int32_t>> histories;
           std::vector<Index> nprobes;
           for (Index b = 0; b < batch; ++b) {
+            // Ids 1, 3, 5, ...: at B = 8 the exact rows mix zero-free
+            // trunks (1, 5, 9, 13), one with a single ±0 (11) and random
+            // ones (7, 15).
             histories.push_back({static_cast<std::int32_t>(1 + 2 * b)});
             // Row 1 takes the pruned path (full probe: it must still rank
             // exactly); every other row rides the shared sweep.
@@ -545,7 +563,8 @@ TEST_F(EngineTest, BatchedOutputSweepMatchesPerRowUnderFusedAxpy) {
                  << ")";
   }
   Rng rng(1908);
-  for (const Index in : {Index{24}, Index{64}}) {
+  // 29 leaves in % kBlock = 5 weight rows to the per-k step.
+  for (const Index in : {Index{24}, Index{29}, Index{64}}) {
     for (const DType dtype : kSweepDtypes) {
       const std::string tag =
           std::string(dtype_name(dtype)) + "_" + std::to_string(in);

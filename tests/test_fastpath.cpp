@@ -445,11 +445,12 @@ TEST_F(FastPathTest, WarmSplitPartsAllocateNothingOnTheHelper) {
   EXPECT_EQ(helper.part_allocs(), 0u);
 }
 
-// A warm two-worker session drain, one request at a time so the idle
-// worker helps with the sweeps: the workers allocate at most once per
-// answer. A ranked answer's buffers are reserved at submit, on the
-// submitting thread; what the workers allocate is their own bookkeeping.
-TEST_F(FastPathTest, WarmSessionDrainAllocatesAtMostOncePerAnswerOnWorkers) {
+// A warm two-worker session server allocates nothing on its workers: not
+// for lone requests whose sweeps the idle worker helps with, and not for a
+// serve_sessions drain, whose start resets the workers' statistics in
+// place. A ranked answer's buffers are reserved at submit, on the
+// submitting thread.
+TEST_F(FastPathTest, WarmSessionDrainAllocatesNothingOnWorkers) {
   ModelConfig config =
       small_config(TechniqueKind::kMemcom, ModelArch::kRanking);
   config.embedding.embed_dim = 64;
@@ -474,8 +475,10 @@ TEST_F(FastPathTest, WarmSessionDrainAllocatesAtMostOncePerAnswerOnWorkers) {
                           10)
         .get();
   };
+  const std::vector<SessionEvent> lone = {event(7)};
   // Warm both workers: a burst gives each its own batches (its context,
-  // meter pages and arenas), then lone requests split their sweeps.
+  // meter pages and arenas), lone requests split their sweeps, and a
+  // one-event drain runs the drain's own bookkeeping once.
   std::vector<SessionEvent> burst;
   for (int i = 0; i < 256; ++i) {
     burst.push_back(event(i));
@@ -484,6 +487,7 @@ TEST_F(FastPathTest, WarmSessionDrainAllocatesAtMostOncePerAnswerOnWorkers) {
   for (int i = 0; i < 64; ++i) {
     answer(i);
   }
+  server.serve_sessions(lone, 10);
   // At least 64 answers, and on until one of them split (a loaded host can
   // wake the parked worker too late for a while).
   const std::uint64_t splits_before = server.split_count();
@@ -496,9 +500,17 @@ TEST_F(FastPathTest, WarmSessionDrainAllocatesAtMostOncePerAnswerOnWorkers) {
     answer(answers++);
   }
   g_count_allocs.store(false);
-  const std::size_t on_workers = g_alloc_count.load() - t_alloc_count;
   EXPECT_GT(server.split_count(), splits_before);
-  EXPECT_LE(on_workers, static_cast<std::size_t>(answers));
+  EXPECT_EQ(g_alloc_count.load() - t_alloc_count, 0u)
+      << "over " << answers << " lone answers";
+  // A drain after a warm one.
+  t_alloc_count = 0;
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  const ServingReport report = server.serve_sessions(lone, 10);
+  g_count_allocs.store(false);
+  EXPECT_EQ(report.session_requests, 1u);
+  EXPECT_EQ(g_alloc_count.load() - t_alloc_count, 0u) << "one-event drain";
 }
 
 }  // namespace

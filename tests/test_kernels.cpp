@@ -2,9 +2,11 @@
 //   * packed_byte_span rounds sub-byte bit intervals OUT to whole bytes
 //     (the touch() undercount regression);
 //   * select_kernels honors MEMCOM_DISABLE_SIMD / MEMCOM_ENABLE_FMA;
-//   * every dispatched kernel except the opt-in fused axpy is BIT-identical
+//   * every dispatched kernel except the opt-in fused MACs is BIT-identical
 //     to the scalar reference (compared with memcmp, not float ==, so
 //     -0.0 vs +0.0 and NaN payload differences cannot hide);
+//   * each family's axpy_block is bit-identical to kBlock sequential calls
+//     of its own axpy;
 //   * the fused axpy stays within the documented one-rounding tolerance.
 #include "ondevice/kernels.h"
 
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "ondevice/execution_context.h"
 
 namespace memcom {
 namespace {
@@ -135,6 +138,7 @@ TEST(KernelDispatch, HotAvx2KernelsStartOnACacheLine) {
     }
     EXPECT_EQ(line_offset(k.dequant_span), 0u);
     EXPECT_EQ(line_offset(k.axpy), 0u);
+    EXPECT_EQ(line_offset(k.axpy_block), 0u);
     EXPECT_EQ(line_offset(k.acc_add), 0u);
     EXPECT_EQ(line_offset(k.first_ge), 0u);
   }
@@ -142,6 +146,7 @@ TEST(KernelDispatch, HotAvx2KernelsStartOnACacheLine) {
   const KernelSet& k = select_kernels();
   if (std::string(k.name) == "avx2+fma") {
     EXPECT_EQ(line_offset(k.axpy), 0u);
+    EXPECT_EQ(line_offset(k.axpy_block), 0u);
   }
 }
 
@@ -153,6 +158,7 @@ TEST(KernelDispatch, ScalarSetIsComplete) {
   EXPECT_NE(k.acc_scale_bias_add, nullptr);
   EXPECT_NE(k.acc_mult_add, nullptr);
   EXPECT_NE(k.axpy, nullptr);
+  EXPECT_NE(k.axpy_block, nullptr);
   EXPECT_NE(k.dot, nullptr);
   EXPECT_NE(k.first_ge, nullptr);
 }
@@ -221,6 +227,66 @@ TEST(KernelBitIdentity, AccumulateFamilyMatchesScalarExactly) {
     simd.acc_mult_add(b.data(), row.data(), other.data(), n);
     EXPECT_TRUE(bits_equal(a.data(), b.data(), a.size()))
         << "acc_mult_add n=" << n;
+  }
+}
+
+// --- axpy_block: kBlock sequential axpy calls, bit for bit ----------------
+
+// Every family's blocked MAC against its own axpy called once per weight
+// row (the fused family included: it must fuse each product the same way),
+// and the unfused families against each other. Weight rows sit `stride`
+// apart — the sweep's decoded tile and an odd stride — and both the
+// coefficients and the weights carry ±0 and denormals.
+TEST(KernelBitIdentity, AxpyBlockEqualsSequentialAxpyInEveryFamily) {
+  ScopedEnv disable("MEMCOM_DISABLE_SIMD", nullptr);
+  std::vector<const KernelSet*> families = {&scalar_kernels()};
+  {
+    ScopedEnv fma("MEMCOM_ENABLE_FMA", nullptr);
+    families.push_back(&select_kernels());
+  }
+  {
+    ScopedEnv fma("MEMCOM_ENABLE_FMA", "1");
+    families.push_back(&select_kernels());
+  }
+  constexpr Index kB = KernelSet::kBlock;
+  const std::vector<std::vector<float>> coefficient_sets = {
+      {0.5f, -0.0f, 1e-40f, -1.75f, 0.0f, 3.0f, -2.5e-39f, 1.0f},
+      {-0.0f, -0.0f, 0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f},
+      {1.25f, -0.75f, 2.0f, -3.5f, 0.0625f, -1.0f, 0.3f, -0.9f},
+  };
+  Rng rng(604);
+  for (const Index stride : {ExecutionContext::kDenseTile, Index{101}}) {
+    for (const Index n : kSizes) {
+      std::vector<float> w(static_cast<std::size_t>(kB * stride), 7.0f);
+      for (Index j = 0; j < kB; ++j) {
+        const std::vector<float> row = random_vec(n, rng);
+        std::copy(row.begin(), row.end(), w.begin() + j * stride);
+        w[static_cast<std::size_t>(j * stride + n - 1)] = -1e-39f;
+      }
+      const std::vector<float> base = random_vec(n, rng);
+      for (const std::vector<float>& a : coefficient_sets) {
+        std::vector<float> unfused;
+        for (const KernelSet* k : families) {
+          std::vector<float> want = base;
+          for (Index j = 0; j < kB; ++j) {
+            k->axpy(want.data(), a[static_cast<std::size_t>(j)],
+                    w.data() + j * stride, n);
+          }
+          std::vector<float> got = base;
+          k->axpy_block(got.data(), a.data(), w.data(), stride, n);
+          EXPECT_TRUE(bits_equal(got.data(), want.data(), got.size()))
+              << k->name << " stride=" << stride << " n=" << n;
+          if (k->fused) {
+            continue;
+          }
+          if (unfused.empty()) {
+            unfused = got;
+          }
+          EXPECT_TRUE(bits_equal(got.data(), unfused.data(), got.size()))
+              << k->name << " vs scalar, stride=" << stride << " n=" << n;
+        }
+      }
+    }
   }
 }
 

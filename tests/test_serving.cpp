@@ -1,17 +1,22 @@
 // Batch-1 AsyncServer drains (max_batch 1: the closed-loop
 // configuration): threaded serving over one shared MmapModel must produce
 // bit-identical logits to sequential single-engine runs, and the report
-// (QPS, percentiles, request counts) must be internally consistent.
+// (QPS, percentiles, request counts) must be internally consistent. The
+// report's latency columns come from LatencyHistogram, whose buckets,
+// quantiles and merge are pinned here too.
 #include "ondevice/serving.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <stdexcept>
 #include <vector>
 
+#include "core/rng.h"
+#include "ondevice/metrics.h"
 #include "repro/model.h"
 #include "test_util.h"
 
@@ -284,6 +289,120 @@ TEST_F(ServingTest, LoneSessionRequestsSplitTheirSweepAcrossTheParkedWorker) {
       EXPECT_EQ(server.split_count(), 0u);
     }
   }
+}
+
+// --- LatencyHistogram ------------------------------------------------------
+
+TEST(LatencyHistogramTest, BucketBoundaryGoldens) {
+  using H = LatencyHistogram;
+  const double unit = std::ldexp(1.0, -15);  // ms
+  EXPECT_EQ(H::kBuckets, 1024u);
+  EXPECT_EQ(H::bucket_of(0.0), 0u);
+  EXPECT_EQ(H::bucket_of(-0.0), 0u);
+  EXPECT_EQ(H::bucket_of(-1.0), 0u);
+  EXPECT_EQ(H::bucket_of(std::nan("")), 0u);
+  // One bucket per unit below 64 units.
+  EXPECT_EQ(H::bucket_of(0.5 * unit), 0u);
+  EXPECT_EQ(H::bucket_of(unit), 1u);
+  EXPECT_EQ(H::bucket_of(63 * unit), 63u);
+  // From 64 units, 32 buckets per power of two: [64, 66) units is one.
+  EXPECT_EQ(H::bucket_of(64 * unit), 64u);
+  EXPECT_EQ(H::bucket_of(65.9 * unit), 64u);
+  EXPECT_EQ(H::bucket_of(66 * unit), 65u);
+  EXPECT_EQ(H::bucket_of(127.9 * unit), 95u);
+  EXPECT_EQ(H::bucket_of(128 * unit), 96u);
+  // 1 ms = 2^15 units opens bucket 64 + (15 - 6) * 32; the next one starts
+  // 1/32 higher.
+  EXPECT_EQ(H::bucket_of(1.0), 352u);
+  EXPECT_EQ(H::lower_ms(352), 1.0);
+  EXPECT_EQ(H::bucket_of(std::nextafter(1.0 + 1.0 / 32, 0.0)), 352u);
+  EXPECT_EQ(H::bucket_of(1.0 + 1.0 / 32), 353u);
+  EXPECT_EQ(H::lower_ms(353), 1.0 + 1.0 / 32);
+  // 2^21 ms and above share the last bucket with [2^21 - 2^15, 2^21) ms.
+  const double last = std::ldexp(1.0, 21) - std::ldexp(1.0, 15);
+  EXPECT_EQ(H::lower_ms(1023), last);
+  EXPECT_EQ(H::bucket_of(std::nextafter(last, 0.0)), 1022u);
+  EXPECT_EQ(H::bucket_of(last), 1023u);
+  EXPECT_EQ(H::bucket_of(std::ldexp(1.0, 21)), 1023u);
+  EXPECT_EQ(H::bucket_of(1e300), 1023u);
+  EXPECT_EQ(H::bucket_of(INFINITY), 1023u);
+  // Every bucket's lower bound lands in it, and from 32 units (2^-10 ms)
+  // up no bucket is wider than 1/32 of its lower bound.
+  for (std::size_t b = 0; b + 1 < H::kBuckets; ++b) {
+    EXPECT_EQ(H::bucket_of(H::lower_ms(b)), b) << b;
+    EXPECT_LT(H::lower_ms(b), H::lower_ms(b + 1)) << b;
+    if (b >= 32) {
+      EXPECT_LE(H::lower_ms(b + 1) - H::lower_ms(b), H::lower_ms(b) / 32)
+          << b;
+    }
+  }
+}
+
+// Each column within 1/32 of the exact nearest-rank statistics; runs, min
+// and max exact.
+void expect_close_to_exact(const std::vector<double>& samples,
+                           const std::string& tag) {
+  LatencyHistogram h;
+  for (const double s : samples) {
+    h.record(s);
+  }
+  const LatencyStats got = h.stats();
+  const LatencyStats want = latency_stats_from_samples(samples);
+  EXPECT_EQ(got.runs, want.runs) << tag;
+  EXPECT_EQ(h.count(), samples.size()) << tag;
+  EXPECT_EQ(got.min_ms, want.min_ms) << tag;
+  EXPECT_EQ(got.max_ms, want.max_ms) << tag;
+  EXPECT_NEAR(got.mean_ms, want.mean_ms, want.mean_ms * 1e-12) << tag;
+  const double pairs[][2] = {{got.p50_ms, want.p50_ms},
+                             {got.p95_ms, want.p95_ms},
+                             {got.p99_ms, want.p99_ms}};
+  for (const auto& p : pairs) {
+    EXPECT_NEAR(p[0], p[1], p[1] / 32) << tag;
+  }
+}
+
+TEST(LatencyHistogramTest, QuantilesWithinOneThirtySecondOfExactStats) {
+  Rng rng(2401);
+  std::vector<double> random;
+  for (int i = 0; i < 10007; ++i) {
+    // Log-uniform over 1 µs .. 1 s.
+    random.push_back(std::pow(10.0, rng.uniform(-3.0f, 3.0f)));
+  }
+  expect_close_to_exact(random, "random");
+  expect_close_to_exact(std::vector<double>(101, 3.7), "all-equal");
+  expect_close_to_exact(std::vector<double>(50, 0.0), "zero");
+  expect_close_to_exact(std::vector<double>(20, 1e6), "1e6 ms");
+  std::vector<double> mixed(40, 0.0);
+  mixed.insert(mixed.end(), 60, 1e6);
+  expect_close_to_exact(mixed, "zero and 1e6 ms");
+  EXPECT_EQ(LatencyHistogram{}.stats().runs, 0);
+  EXPECT_EQ(LatencyHistogram{}.stats().p99_ms, 0.0);
+}
+
+TEST(LatencyHistogramTest, MergeEqualsOneHistogramOverTheUnion) {
+  Rng rng(2402);
+  LatencyHistogram parts[3];
+  LatencyHistogram whole;
+  for (int i = 0; i < 3000; ++i) {
+    const double ms = std::pow(10.0, rng.uniform(-2.0f, 2.0f)) * (1 + i % 3);
+    parts[i % 3].record(ms);
+    whole.record(ms);
+  }
+  LatencyHistogram merged;
+  merged.merge(LatencyHistogram{});  // an empty part changes nothing
+  for (const LatencyHistogram& part : parts) {
+    merged.merge(part);
+  }
+  EXPECT_EQ(merged.count(), whole.count());
+  EXPECT_EQ(merged.min(), whole.min());
+  EXPECT_EQ(merged.max(), whole.max());
+  EXPECT_NEAR(merged.sum(), whole.sum(), whole.sum() * 1e-12);
+  for (int p = 0; p <= 100; ++p) {
+    EXPECT_EQ(merged.percentile(p), whole.percentile(p)) << p;
+  }
+  merged.clear();
+  EXPECT_EQ(merged.count(), 0u);
+  EXPECT_EQ(merged.percentile(50), 0.0);
 }
 
 }  // namespace
