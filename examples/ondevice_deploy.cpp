@@ -1,10 +1,10 @@
 // On-device deployment walkthrough (§3 + §5.3): train a compressed model,
 // export it to the mmap-able .mcm format (optionally quantized, A.2), load
 // it with the on-device inference engine under a CoreML-like and a
-// TF-Lite-like device profile, and report latency + resident memory.
+// TF-Lite-like device profile, and report latency + resident memory. The
+// exported file is left in place for tools/mcm_bench and tools/mcm_inspect.
 //
 //   ./ondevice_deploy [--bits 32|16|8|4] [--epochs 2]
-#include <cstdio>
 #include <iostream>
 
 #include "core/flags.h"
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   }
   std::cout << table.to_string();
   std::cout << "\nLookup-path models touch O(history) table rows; see "
-               "bench/table3_ondevice for the Weinberger one-hot contrast.\n";
-  std::remove(path.c_str());
+               "bench/table3_ondevice for the Weinberger one-hot contrast.\n"
+            << "kept " << path << " (serve it with tools/mcm_bench)\n";
   return 0;
 }

@@ -416,33 +416,25 @@ void ExecutionContext::apply_dense_rows(const DenseSweep& sweep, Index c_begin,
                            tile + j * kDenseTile);
         }
       }
+      // Every k is MACed, whatever the post-ReLU sparsity of x: a ±0
+      // coefficient adds ±0 to an accumulator that started at +0 and can
+      // never become -0, so with finite weights it leaves the bits alone.
       for (Index r = 0; r < rows; ++r) {
         const float* x = xs + r * in + k;
-        // A whole block goes through axpy_block when no weight row is
-        // skipped: f32 weights MAC every k (a real dense matmul pays the
-        // full in·out cost whatever the post-ReLU sparsity of x; zero rows
-        // add ±0 and leave y unchanged), quantized ones skip x[k] == 0.
-        if (nk == kBlock &&
-            (f32 != nullptr || std::find(x, x + kBlock, 0.0f) == x + kBlock)) {
+        if (nk == kBlock) {
           ker.axpy_block(acc(r, c0), x, w, stride, width);
           continue;
         }
         for (Index j = 0; j < nk; ++j) {
-          if (f32 != nullptr || x[j] != 0.0f) {
-            ker.axpy(acc(r, c0), x[j], w + j * stride, width);
-          }
+          ker.axpy(acc(r, c0), x[j], w + j * stride, width);
         }
       }
-      // Gather rows read their columns off the same segments, with the
-      // exact rows' per-element rules (quantized skips x[k] == 0).
+      // Gather rows read their columns off the same segments.
       for (Index j = 0; j < nk; ++j) {
         const float* wk = w + j * stride;
         for (std::size_t g = 0; g < ngathers; ++g) {
           const GatherRow& row = gathers[g];
           const float xv = row.x[k + j];
-          if (f32 == nullptr && xv == 0.0f) {
-            continue;
-          }
           for (std::size_t i = row.lo; i < row.hi; ++i) {
             const float wv = wk[row.cols[i] - c0];
             row.acc[i] = fused ? std::fma(xv, wv, row.acc[i])
@@ -579,55 +571,28 @@ const float* ExecutionContext::trunk_stage() {
 }
 
 void ExecutionContext::probe_columns(const float* trunk, Index nprobe,
-                                     std::vector<Index>* cols,
-                                     std::uint64_t* scanned_rows,
-                                     std::uint64_t* scanned_bytes) {
+                                     std::vector<Index>* cols) {
   const CompiledModel& plan = *compiled_;
   const CatalogIndex& index = plan.catalog_index();
-  const DensePlan& dense = plan.out();
-  const Index in = dense.in;
-  const Index out = dense.out;
+  const Index in = plan.out().in;
 
   // Probe query [trunk; 1.0] against centroids built over [W[:,j]; b_j].
   std::copy(trunk, trunk + in, query_.begin());
   query_[static_cast<std::size_t>(in)] = 1.0f;
   index.probe(plan.kernels(), query_.data(), nprobe, &probed_);
 
-  const DType wt = dense.weight.dtype;
-  const std::uint64_t elem_bytes = wt == DType::kF32 ? 4
-                                   : wt == DType::kF16 ? 2
-                                                       : 1;
-  const DType bt = dense.bias_ref.dtype;
-  const std::uint64_t bias_elem_bytes = bt == DType::kF32 ? 4
-                                        : bt == DType::kF16 ? 2
-                                                            : 1;
-  const Index group = dense.weight.src.group_size;
-
   cols->clear();
-  std::uint64_t bytes = index.centroid_bytes();
   for (const ScoredId& cluster : probed_) {
     const std::size_t begin =
         index.offsets[static_cast<std::size_t>(cluster.id)];
     const std::size_t end =
         index.offsets[static_cast<std::size_t>(cluster.id) + 1];
     for (std::size_t pos = begin; pos < end; ++pos) {
-      const Index j = static_cast<Index>(index.perm[pos]);
-      cols->push_back(j);
-      // Analytic column bytes: one stored element per weight row, plus the
-      // distinct i4g scale groups the strided walk crosses, plus the bias
-      // element.
-      bytes += static_cast<std::uint64_t>(in) * elem_bytes + bias_elem_bytes;
-      if (wt == DType::kI4G) {
-        const Index span_groups =
-            (j + (in - 1) * out) / group - j / group + 1;
-        bytes += static_cast<std::uint64_t>(std::min(in, span_groups)) * 4;
-      }
+      cols->push_back(static_cast<Index>(index.perm[pos]));
     }
   }
   // Ascending, so the sweep meets each column in its own tile.
   std::sort(cols->begin(), cols->end());
-  *scanned_rows += static_cast<std::uint64_t>(cols->size());
-  *scanned_bytes += bytes;
 }
 
 void ExecutionContext::finish_pruned(const GatherRow& row, Index kept,
@@ -738,8 +703,7 @@ BatchResult ExecutionContext::run_batch(
       float* parked = pruned_trunks_.data() + pruned_rows_.size() * in;
       std::copy(trunk, trunk + in, parked);
       probe_columns(parked, (*nprobes)[static_cast<std::size_t>(b)],
-                    &pruned_cols_[pruned_rows_.size()], &result.scanned_rows,
-                    &result.scanned_bytes);
+                    &pruned_cols_[pruned_rows_.size()]);
       pruned_rows_.push_back(b);
     } else {
       std::copy(trunk, trunk + in, trunks_.data() + exact_rows * in);
@@ -789,9 +753,18 @@ BatchResult ExecutionContext::run_batch(
     finish_pruned(gathers_[p], kept,
                   &(*topk_out)[static_cast<std::size_t>(pruned_rows_[p])]);
   }
-  // Exact ranked rows scan the whole stored catalog (weight + bias blobs).
+  // An exact ranked row scans the whole stored catalog (weight + bias
+  // blobs); a pruned row its probed columns' share of it, plus the
+  // centroid table it probed.
   const std::uint64_t exact_scan_bytes = plan.out().weight.entry->byte_size +
                                          plan.out().bias_ref.entry->byte_size;
+  for (std::size_t p = 0; p < pruned_rows_.size(); ++p) {
+    const std::uint64_t cols = pruned_cols_[p].size();
+    result.scanned_rows += cols;
+    result.scanned_bytes += exact_scan_bytes * cols /
+                                static_cast<std::uint64_t>(dim) +
+                            plan.catalog_index().centroid_bytes();
+  }
   for (Index b = 0; b < result.batch && top_k > 0; ++b) {
     std::vector<ScoredId>& ranked = (*topk_out)[static_cast<std::size_t>(b)];
     std::sort(ranked.begin(), ranked.end(), topk_better);

@@ -61,13 +61,14 @@ struct BatchResult {
   std::uint64_t cache_misses = 0;
   // Catalog-scan accounting, populated only for RANKED rows (top_k > 0).
   // An exact scan scores every catalog item; a pruned scan (nprobe > 0
-  // with an adopted index) scores only the probed clusters' items, and
-  // scanned_bytes is the ANALYTIC compressed payload of those columns plus
-  // the centroid table. pruned fraction = 1 - scanned_rows/catalog_rows.
+  // with an adopted index) scores only the probed clusters' items. An
+  // exact row's scanned_bytes is the stored catalog (out.weight + out.bias
+  // blobs); a pruned row's is its columns' share of it, plus the centroid
+  // table. pruned fraction = 1 - scanned_rows/catalog_rows.
   std::uint64_t ranked_rows = 0;    // rows that went through top-k ranking
   std::uint64_t catalog_rows = 0;   // ranked_rows * catalog items
   std::uint64_t scanned_rows = 0;   // catalog items actually scored
-  std::uint64_t scanned_bytes = 0;  // analytic compressed bytes read
+  std::uint64_t scanned_bytes = 0;  // stored catalog bytes read
   // True when another thread swept the upper part of this batch's output
   // sweep (see SweepHelper).
   bool split = false;
@@ -230,10 +231,8 @@ class ExecutionContext {
     std::size_t hi = 0;
   };
   // Pruned row, before the sweep: probes the centroids with [trunk; 1.0]
-  // and lists the probed clusters' columns, ascending, into `cols`; the
-  // analytic scan counters accumulate into the two totals.
-  void probe_columns(const float* trunk, Index nprobe, std::vector<Index>* cols,
-                     std::uint64_t* scanned_rows, std::uint64_t* scanned_bytes);
+  // and lists the probed clusters' columns, ascending, into `cols`.
+  void probe_columns(const float* trunk, Index nprobe, std::vector<Index>* cols);
   // Pruned row, after the sweep: adds the bias to each gathered column and
   // offers it to the (emptied) heap `ranked` of at most `kept` entries.
   void finish_pruned(const GatherRow& row, Index kept,
@@ -274,15 +273,16 @@ class ExecutionContext {
   // segments are decoded once into the [kBlock, kDenseTile] scratch (f32
   // weights are read straight from the mapping), and each row's tile takes
   // the whole block in one axpy_block call, which loads and stores its
-  // accumulators once instead of once per k. A quantized row with a ±0
-  // coefficient in the block, and the trailing in % kBlock rows, take the
-  // per-k axpy instead. Then the bias lands with acc_add. Per output
+  // accumulators once instead of once per k. The trailing in % kBlock rows
+  // take the per-k axpy. Then the bias lands with acc_add. Per output
   // element that is exactly the single-row order — zero, then x[k]*w[k,j]
-  // in increasing k (quantized weights skip x[k] == 0, f32 weights MAC
-  // every k), then + b[j] — and axpy_block is bit-identical to kBlock
-  // sequential axpy calls, so a row's result does not depend on `rows`,
-  // the tile width, the block, the range bounds, or which other rows share
-  // the sweep.
+  // for every k in increasing order, then + b[j] — and axpy_block is
+  // bit-identical to kBlock sequential axpy calls, so a row's result does
+  // not depend on `rows`, the tile width, the block, the range bounds, or
+  // which other rows share the sweep. No k is skipped for a zero x[k]: an
+  // accumulator starts at +0 and can never become -0, so adding ±0·w with
+  // a finite w leaves its bits unchanged, and the result equals a sweep
+  // that skips zero coefficients.
   //
   // Ranked rows accumulate in the scratch row tiles, and each finished tile
   // (bias added) is offered to the row's heap through topk_offer_span,
@@ -291,9 +291,9 @@ class ExecutionContext {
   // the range's logits.
   //
   // Gather rows ride the same sweep: for each of its columns in the tile a
-  // gather row adds x[k]*w[k,j] off the block's segments under the same
-  // rules (a fused MAC when the family's axpy is fused), so each gathered
-  // sum equals the exact row's before its bias.
+  // gather row adds x[k]*w[k,j] off the block's segments for every k (a
+  // fused MAC when the family's axpy is fused), so each gathered sum equals
+  // the exact row's before its bias.
   //
   // Touches no meter and no context state but `scratch`: two threads may
   // sweep disjoint ranges of one sweep with two scratch sets.

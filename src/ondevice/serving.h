@@ -141,9 +141,10 @@ struct ServingReport {
   // Catalog-scan accounting over the drain's RANKED rows (top_k > 0; all
   // zero when the drain carried none). scanned_rows counts catalog items
   // actually scored; catalog_rows counts what an exact scan would have
-  // scored (ranked rows x catalog size); scanned_bytes is the analytic
-  // compressed payload read (probed columns + centroid table on the pruned
-  // path, the full weight/bias blobs per row on the exact path).
+  // scored (ranked rows x catalog size); scanned_bytes is the stored
+  // catalog read (the full weight/bias blobs per row on the exact path, the
+  // probed columns' share of them plus the centroid table on the pruned
+  // path).
   // pruned_fraction = 1 - scanned_rows / catalog_rows (0 when every ranked
   // row scanned exact).
   std::uint64_t catalog_rows = 0;

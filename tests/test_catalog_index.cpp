@@ -306,7 +306,8 @@ TEST_F(CatalogIndexFileTest, PlanAndIndexSectionsCoexist) {
 // to the exact ranked batch — ids AND scores — and the scan counters agree.
 // An oversized nprobe (10x the cluster count) clamps to the full probe.
 TEST_F(CatalogIndexFileTest, ServingFullProbeBitIdenticalToExact) {
-  for (const DType dtype : {DType::kF32, DType::kI8, DType::kI4G}) {
+  for (const DType dtype :
+       {DType::kF32, DType::kI8, DType::kI4, DType::kI4G}) {
     const std::string path = export_model(
         std::string("serve_") + dtype_name(dtype), true, 6, dtype);
     auto compiled = std::make_shared<const CompiledModel>(
@@ -337,11 +338,14 @@ TEST_F(CatalogIndexFileTest, ServingFullProbeBitIdenticalToExact) {
               << tag << " row " << b << " pos " << i;
         }
       }
-      // Full probe scans every row; the analytic byte accounting differs
-      // from the exact blob accounting only by the centroid-table overhead.
+      // Full probe scans every row, and each row reads the exact row's
+      // stored catalog bytes plus the centroid table it probed.
       EXPECT_EQ(pruned.scanned_rows, pruned.catalog_rows) << tag;
       EXPECT_EQ(pruned.ranked_rows, static_cast<std::uint64_t>(4)) << tag;
-      EXPECT_GT(pruned.scanned_bytes, 0u) << tag;
+      EXPECT_EQ(pruned.scanned_bytes,
+                exact.scanned_bytes +
+                    4 * compiled->catalog_index().centroid_bytes())
+          << tag;
     }
   }
 }

@@ -201,6 +201,39 @@ TEST_F(EngineTest, RepeatRunsDoNotGrowResidency) {
   EXPECT_EQ(engine.meter().weight_resident_bytes(), after_one);
 }
 
+// One memcom model at the movielens Table-3 dims (vocab 10000, e 64, 500
+// outputs) exported as i8 and as i4g: the meter counts the pages each
+// forward touches, so with sub-byte span accounting the 4-bit groupwise
+// file (nibbles + per-group f32 scales) must stay below int8 for the same
+// history.
+TEST_F(EngineTest, GroupwiseInt4ResidesBelowInt8) {
+  ModelConfig config;
+  config.embedding = {TechniqueKind::kMemcom, 10000, 64, 10000 / 16};
+  config.arch = ModelArch::kClassification;
+  config.output_vocab = 500;
+  config.seed = 99;
+  RecModel model(config);
+  Rng rng(13);
+  std::vector<std::int32_t> history(32);
+  for (auto& id : history) {
+    id = static_cast<std::int32_t>(1 + rng.uniform_index(10000 - 1));
+  }
+  const auto resident = [&](DType dtype, Index group_size,
+                            const std::string& tag) {
+    const std::string path = temp_path(tag);
+    model.export_mcm(path, dtype, /*model_name=*/"", /*model_version=*/1,
+                     group_size);
+    const MmapModel mapped(path);
+    InferenceEngine engine(mapped, tflite_profile());
+    engine.run(history);
+    return engine.meter().weight_resident_bytes();
+  };
+  const Index i8 = resident(DType::kI8, 0, "resident_i8");
+  const Index i4g = resident(DType::kI4G, kI4GroupDefault, "resident_i4g");
+  EXPECT_GT(i4g, 0);
+  EXPECT_LT(i4g, i8);
+}
+
 TEST_F(EngineTest, QuantizedModelsStayAccurate) {
   ModelConfig config = small_config(TechniqueKind::kMemcom,
                                     ModelArch::kRanking);

@@ -11,11 +11,13 @@
 //   ./mcm_bench --models a.mcm,b.mcm [--swap-after N] [serving flags above]
 //
 // Prints the single-input latency distribution (mean/min/p50/p95/p99/max,
-// the paper's §5.3 metric) and the multi-threaded batch-1 serving report
-// (QPS, per-request wall latency percentiles) of an AsyncServer at
-// max_batch 1. With --async it also drives the open-loop micro-batching
-// pipeline and reports the queue-wait vs service-time split and the
-// hot-row cache hit rate.
+// the paper's §5.3 metric; MODELED: run_view's wall time plus the device
+// profile's per-op dispatch overhead) and the multi-threaded batch-1
+// serving report (QPS, per-request wall latency percentiles) of an
+// AsyncServer at max_batch 1. With --async it also drives the open-loop
+// micro-batching pipeline and reports the queue-wait vs service-time
+// split, the hot-row cache hit rate and the arrivals the pacer released
+// late.
 //
 // With --models the tool loads every file into a ModelRegistry, drives
 // interleaved multi-tenant traffic through one AsyncServer, and prints the
@@ -492,7 +494,9 @@ int main(int argc, char** argv) {
                    format_float(stats.p99_ms, 4),
                    format_float(stats.max_ms, 4),
                    format_float(engine.resident_megabytes(), 2)});
-  std::cout << "single-input latency (" << runs << " runs):\n"
+  std::cout << "single-input latency, modeled (run_view wall time + "
+            << profile.label() << " dispatch overhead, " << runs
+            << " runs):\n"
             << latency.to_string() << "\n";
 
   // Threaded batch-1 serving throughput: one request per micro-batch.
@@ -533,7 +537,8 @@ int main(int argc, char** argv) {
     const ServingReport report = server.serve(requests, repeat, arrival_qps);
     TextTable table({"threads", "shards", "batch<=", "offered", "qps",
                      "goodput", "p50 ms", "wait p50 ms", "wait p95 ms",
-                     "svc p50 ms", "mean batch", "shed%", "miss%", "hit%"});
+                     "svc p50 ms", "mean batch", "late", "shed%", "miss%",
+                     "hit%"});
     table.add_row(
         {std::to_string(report.threads), std::to_string(report.shards),
          std::to_string(max_batch),
@@ -544,6 +549,7 @@ int main(int argc, char** argv) {
          format_float(report.queue_wait.p95_ms, 4),
          format_float(report.service.p50_ms, 4),
          format_float(report.mean_batch, 1),
+         std::to_string(report.late_arrivals),
          format_float(report.shed_rate * 100.0, 1),
          format_float(report.deadline_miss_rate * 100.0, 1),
          report.cache.enabled
